@@ -7,7 +7,7 @@
 //! and the p99 publish→delivery latency per cell — then re-runs one
 //! representative harsh cell (domain outage × heavy churn) at every
 //! shard width in `EGM_SHARD_WIDTHS`, asserting byte-identical results
-//! against the sequential engine. Results are upserted as the
+//! against the one-shard run. Results are upserted as the
 //! `fault_resilience_<preset>` bin of `BENCH_events_per_sec.json`
 //! (schema in `egm_bench`'s crate docs).
 //!
@@ -77,7 +77,7 @@ fn main() {
 
     // Byte-identity of the harshest cell across shard widths: the same
     // fault trace, churn layout and re-rank ticks must reproduce the
-    // sequential results exactly under the parallel engine.
+    // one-shard results exactly at every width.
     if !widths.is_empty() {
         let base = preset
             .scenario(messages, seed)
@@ -88,7 +88,7 @@ fn main() {
             FaultScenarioKind::DomainOutage.schedule(&model, base.warmup_ms, traffic_ms, seed);
         let (_, heavy) = churn_levels()[2];
         let cell = base.with_fault_schedule(Some(schedule)).with_churn(heavy);
-        let seq = runner::run_detailed(&cell.clone().with_shards(Some(0)), Some(model.clone()));
+        let seq = runner::run_detailed(&cell.clone().with_shards(Some(1)), Some(model.clone()));
         for &w in &widths {
             let sharded =
                 runner::run_detailed(&cell.clone().with_shards(Some(w)), Some(model.clone()));
@@ -101,7 +101,7 @@ fn main() {
             );
         }
         println!(
-            "byte-identity: domain outage × heavy churn matches seq at W ∈ {widths:?} \
+            "byte-identity: domain outage × heavy churn matches W=1 at W ∈ {widths:?} \
              ({} events)",
             seq.events
         );

@@ -85,30 +85,28 @@
 //!   require ≥ 0.8).
 //! * `shard_events_per_sec_<preset>` — the sharded-event-loop A/B
 //!   (`cargo run --release -p egm_bench --bin shard_events_per_sec`):
-//!   the preset once through the sequential engine (`seq` sub-object),
-//!   once through the windowless W=1 sharded engine (`w1`), and then
-//!   once per (width, partition strategy) pair at every wider width
-//!   from `EGM_SHARD_WIDTHS` — `w2_contiguous` / `w2_domain_aligned` /
-//!   `w2_rate_balanced` / `w4_…` sub-objects. Each records the
-//!   *effective* `strategy` (a planned strategy falls back to
-//!   contiguous on structureless topologies), `best_wall_ms`,
-//!   `events_per_sec`, `speedup_vs_seq`, and the window-loop counters:
-//!   `windows`, `lane_events`, the batched `lane_flushes`, the
-//!   `exchanges_skipped` by the adaptive barrier, the configured
-//!   `lookahead_us`, the `realized_lookahead_us` actually advanced per
-//!   window, and the `per_shard_events` balance. The bench *asserts*
-//!   byte-identical results for every pair (report, delivery log, link
-//!   tables, event count) — the determinism record behind parallelizing
-//!   one run. `EGM_SHARD_OVERHEAD_MAX` turns the W=1 window overhead
-//!   into a budget assertion, and `EGM_SHARD_MAX_WINDOWS` caps the
-//!   window count of every domain-aligned/rate-balanced run — the gated
-//!   record that topology-aware cuts keep the conservative windows an
-//!   order of magnitude coarser than contiguous ones.
+//!   the preset once on one shard (the `seq` sub-object — the single
+//!   reference row, since one shard *is* the sequential event loop),
+//!   then once per (width, partition strategy) pair at every width above
+//!   1 from `EGM_SHARD_WIDTHS` — `w2_contiguous` / `w2_domain_aligned` /
+//!   `w4_…` sub-objects. Each records the *effective* `strategy`
+//!   (domain-aligned falls back to contiguous on structureless
+//!   topologies), `best_wall_ms`, `events_per_sec`, `speedup_vs_seq`,
+//!   and the window-loop counters: `windows`, `lane_events`, the batched
+//!   `lane_flushes`, the `exchanges_skipped` by the adaptive barrier, the
+//!   configured `lookahead_us`, the `realized_lookahead_us` actually
+//!   advanced per window, and the `per_shard_events` balance. The bench
+//!   *asserts* byte-identical results for every pair (report, delivery
+//!   log, link tables, event count) — the determinism record behind
+//!   parallelizing one run. `EGM_SHARD_MAX_WINDOWS` caps the window
+//!   count of every domain-aligned run — the gated record that
+//!   topology-aware cuts keep the conservative windows an order of
+//!   magnitude coarser than contiguous ones.
 //! * `sustained_events_per_sec_<preset>` — the heavy-traffic arrival
 //!   axis (`cargo run --release -p egm_bench --bin
 //!   sustained_events_per_sec`): one open-loop run per shard width
-//!   W ∈ {seq, 1, 2, 4} over a shared prepared setup, byte-identity
-//!   asserted per width (report, event count, latency histogram,
+//!   W ∈ {1, 2, 4} over a shared prepared setup, byte-identity against
+//!   W = 1 asserted per width (report, event count, latency histogram,
 //!   steady-state block). Records the arrival `process` and offered
 //!   `rate_per_sec`, the steady-state `steady_publishes_per_sec` /
 //!   `steady_deliveries_per_sec` (simulated-time rates over the
@@ -132,7 +130,7 @@
 //!   publish→delivery latency; plus the grid `cells` count, `sweep_ms`
 //!   and `peak_rss_mb`. The bin re-runs the harshest cell (domain
 //!   outage × heavy churn) at every `EGM_SHARD_WIDTHS` width and
-//!   *asserts* byte-identity with the sequential engine.
+//!   *asserts* byte-identity with the one-shard run.
 //!   `EGM_MIN_DELIVERY_RATIO` turns every cell's delivery ratio into a
 //!   floor assertion — the CI fault smoke job's regression guard.
 //! * `queue_events_per_sec_<preset>` — the event-queue A/B comparison

@@ -1,8 +1,8 @@
 //! Property suite for the mergeable latency histogram: shard-local
 //! histograms folded in any grouping and order must equal the histogram
-//! a single sequential stream would build — the invariant that lets the
-//! sharded engine keep tail-latency accounting byte-identical to the
-//! sequential one.
+//! a single sequential stream would build — the invariant that lets a
+//! multi-shard run keep tail-latency accounting byte-identical to a
+//! one-shard run.
 
 use egm_metrics::LatencyHistogram;
 use proptest::prelude::*;

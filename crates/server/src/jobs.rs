@@ -387,7 +387,7 @@ impl ProgressSink for JobSink {
 /// - `strategy`: `{"kind":"flat","pi":0.5}`, `{"kind":"ttl","u":2}`,
 ///   `{"kind":"radius","rho":1.5,"t0_ms":40.0}`, or
 ///   `{"kind":"ranked","best_fraction":0.2}`;
-/// - `shards`: shard-width override (`0` forces the sequential engine;
+/// - `shards`: shard-width override (`0` and `1` run one shard;
 ///   preset jobs default to 4 so progress streams as window frames);
 /// - `sweep`: `{"field":"pi"|"best_fraction","values":[..]}` — one run
 ///   per value, overriding `strategy`.
@@ -467,11 +467,11 @@ pub fn parse_job(body: &Json) -> Result<Vec<PlannedRun>, String> {
             }
             base = base.with_shards(Some(w as usize));
         }
-        // Preset (scale) jobs default onto the sharded engine so live
-        // progress arrives as conservative-window frames; outcomes are
+        // Preset (scale) jobs default to four shards so live progress
+        // arrives as conservative-window frames; outcomes are
         // byte-identical either way (the workspace pins that), so this
-        // only changes the progress granularity. `"shards": 0` opts back
-        // into the sequential engine.
+        // only changes the progress granularity. `"shards": 1` opts back
+        // into one shard.
         None if preset_used => base = base.with_shards(Some(4)),
         None => {}
     }

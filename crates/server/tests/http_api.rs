@@ -151,8 +151,8 @@ fn smoke_job_streams_progress_and_completes() {
         r#"{"scenario":"smoke","messages":5,"seed":7,"strategy":{"kind":"ranked","best_fraction":0.25}}"#,
     );
 
-    // The smoke scenario runs on the sequential engine, so progress
-    // arrives as runner-level chunk frames.
+    // The smoke scenario runs on one shard, so progress arrives as
+    // runner-level chunk frames.
     assert!(
         kinds.iter().any(|k| k == "chunk" || k == "window"),
         "no progress frames in {kinds:?}"
@@ -187,8 +187,8 @@ fn sweep_job_runs_every_value() {
     assert_eq!(job.get("status").and_then(Json::as_str), Some("done"));
 }
 
-/// The acceptance-criterion run: the 1k preset (1000 nodes) routes onto
-/// the sharded engine, so progress must arrive as conservative-window
+/// The acceptance-criterion run: the 1k preset (1000 nodes) defaults to
+/// four shards, so progress must arrive as conservative-window
 /// frames — at least one per executed window batch. Slower than the
 /// tier-1 budget allows, hence ignored by default; CI's `server-smoke`
 /// job drives the same path over curl.

@@ -14,9 +14,9 @@
 //! equal timestamps are ordered by an intrinsic `(origin, origin-seq)`
 //! key (see [`sim`]). The same scenario always produces byte-identical
 //! results (the root integration tests assert this across the full
-//! stack) — on the sequential [`Sim`] and on the partitioned
-//! [`ShardedSim`], which splits one large run across worker shards
-//! under conservative time windows with identical outputs for every
+//! stack). There is one engine, [`Sim`]: it runs one shard — the
+//! sequential event loop — or splits one large run across worker shards
+//! under conservative time windows, with identical outputs for every
 //! shard count (see [`shard`]).
 //!
 //! # Examples
@@ -57,8 +57,8 @@ pub mod wire;
 pub use event::{CalendarQueue, EventQueue, HeapQueue, QueueKind, QueueStats, Scheduled};
 pub use net::{Network, SimConfig};
 pub use progress::{NoopSink, ProgressEvent, ProgressSink, SharedSink};
-pub use shard::{Partition, PartitionStrategy, ShardChoice, ShardStats, ShardedSim};
-pub use sim::{Context, Protocol, Sim, TimerTag, TimerToken};
+pub use shard::{Partition, PartitionStrategy, ShardStats, Sim};
+pub use sim::{Context, Protocol, TimerTag, TimerToken};
 pub use stats::{LinkTally, Traffic};
 pub use time::{SimDuration, SimTime};
 pub use wire::Wire;

@@ -5,7 +5,7 @@ use crate::shard::PartitionStrategy;
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
 use egm_rng::Rng;
-use egm_topology::{PlanBalance, RoutedModel};
+use egm_topology::RoutedModel;
 
 /// Configuration of the virtual network between `n` protocol nodes.
 ///
@@ -46,19 +46,15 @@ pub struct SimConfig {
     /// resolves by size at simulation start (`EGM_EVENT_QUEUE` or
     /// [`SimConfig::with_event_queue`] override it).
     event_queue: Option<QueueKind>,
-    /// How many worker shards a sharded run partitions the nodes across;
+    /// How many worker shards the engine partitions the nodes across;
     /// `None` resolves via `EGM_SHARDS`, then the size-based default
-    /// ([`crate::shard::auto_shards_for`]). `Some(0)` forces the
-    /// sequential engine.
+    /// ([`crate::shard::auto_shards_for`]). `Some(0)` and `Some(1)` both
+    /// mean one shard.
     shards: Option<usize>,
-    /// How a sharded run maps nodes to shards; `None` resolves via
+    /// How a multi-shard run maps nodes to shards; `None` resolves via
     /// `EGM_PARTITION`, then the auto default (domain-aligned when the
     /// delay source yields a plan, contiguous otherwise).
     partition: Option<PartitionStrategy>,
-    /// `(fanout, view degree)` hint for the rate-balanced partition
-    /// planner's per-domain event-rate estimate; `None` falls back to a
-    /// uniform per-client rate.
-    rate_hint: Option<(usize, usize)>,
     /// Directory for writer-backed traffic compaction (see
     /// [`crate::Traffic::enable_spool`]); `None` keeps folds in memory.
     traffic_spool: Option<std::path::PathBuf>,
@@ -91,7 +87,6 @@ impl SimConfig {
             event_queue: QueueKind::from_env(),
             shards: None,
             partition: None,
-            rate_hint: None,
             traffic_spool: None,
         }
     }
@@ -109,7 +104,6 @@ impl SimConfig {
             event_queue: QueueKind::from_env(),
             shards: None,
             partition: None,
-            rate_hint: None,
             traffic_spool: None,
         }
     }
@@ -185,48 +179,34 @@ impl SimConfig {
 
     /// Selects how many worker shards partition the run (builder style),
     /// overriding both the `EGM_SHARDS` variable and the size-based
-    /// default. `1` runs the sharded engine as a single windowless shard;
-    /// `0` forces the plain sequential engine (the escape hatch, like
-    /// `EGM_EVENT_QUEUE=heap`). Every shard count produces byte-identical
-    /// results — this is a performance knob, never a behavioural one.
+    /// default. `0` and `1` both run one shard, which is the sequential
+    /// engine: no partition, no windows. Every shard count produces
+    /// byte-identical results — this is a performance knob, never a
+    /// behavioural one.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
     }
 
-    /// The shard count this configuration resolves to: an explicit
-    /// [`SimConfig::with_shards`] choice wins, then the `EGM_SHARDS`
-    /// environment override, then the size-based default
-    /// ([`crate::shard::auto_shards_for`]). Counts above the node count
-    /// are clamped. See [`crate::ShardChoice`] for how a forced choice
-    /// differs from the default.
-    pub fn shard_choice(&self) -> crate::shard::ShardChoice {
-        use crate::shard::ShardChoice;
+    /// The shard count this configuration resolves to, at least 1 and at
+    /// most the node count: an explicit [`SimConfig::with_shards`] choice
+    /// wins, then the `EGM_SHARDS` environment override, then the
+    /// size-based default ([`crate::shard::auto_shards_for`]).
+    pub fn shard_count(&self) -> usize {
         let n = self.node_count();
-        if let Some(w) = self.shards {
-            return ShardChoice::Forced(w.min(n));
-        }
-        if let Some(w) = crate::shard::shards_from_env() {
-            return ShardChoice::Forced(w.min(n));
-        }
-        ShardChoice::Auto(crate::shard::auto_shards_for(n))
+        let w = self
+            .shards
+            .or_else(crate::shard::shards_from_env)
+            .unwrap_or_else(|| crate::shard::auto_shards_for(n));
+        w.clamp(1, n)
     }
 
-    /// Selects the partition strategy of a sharded run (builder style),
+    /// Selects the partition strategy of a multi-shard run (builder style),
     /// overriding both the `EGM_PARTITION` variable and the auto
     /// default. Every strategy produces byte-identical results — this is
     /// a performance knob, never a behavioural one.
     pub fn with_partition(mut self, strategy: PartitionStrategy) -> Self {
         self.partition = Some(strategy);
-        self
-    }
-
-    /// Supplies the `(fanout, view_degree)` workload hint the
-    /// rate-balanced partition planner weighs domains by. Without a hint
-    /// the planner assumes a uniform per-client event rate (equivalent
-    /// to balancing by node count).
-    pub fn with_rate_hint(mut self, fanout: usize, view_degree: usize) -> Self {
-        self.rate_hint = Some((fanout, view_degree));
         self
     }
 
@@ -257,28 +237,16 @@ impl SimConfig {
 
     /// Plans a domain-aligned node→shard assignment over the routed
     /// delay model: `None` when the delay source has no domain structure
-    /// (uniform or dense) or fewer populated domains than shards. With
-    /// `rate_balanced`, shards are balanced by the per-domain event-rate
-    /// estimate seeded from [`SimConfig::with_rate_hint`].
-    pub fn planned_assignment(&self, shards: usize, rate_balanced: bool) -> Option<Vec<u32>> {
+    /// (uniform or dense) or fewer populated domains than shards.
+    pub fn planned_assignment(&self, shards: usize) -> Option<Vec<u32>> {
         let DelaySource::Model(m) = &self.delay else {
             return None;
         };
-        let balance = if rate_balanced {
-            let (fanout, view_degree) = self.rate_hint.unwrap_or((1, 1));
-            PlanBalance::Rate {
-                fanout,
-                view_degree,
-            }
-        } else {
-            PlanBalance::Nodes
-        };
-        m.partition_plan(shards, balance)
-            .map(|p| p.assignment().to_vec())
+        m.partition_plan(shards).map(|p| p.assignment().to_vec())
     }
 
     /// A conservative lower bound on the delivery delay of any message
-    /// crossing the given shard assignment — the sharded engine's window
+    /// crossing the given shard assignment — a multi-shard run's window
     /// *lookahead*. Derived from the minimum cross-shard base latency of
     /// the delay source (exact on routed and dense models), shrunk by the
     /// worst-case jitter factor and one microsecond of rounding slack,

@@ -1,41 +1,42 @@
-//! Deterministic sharded event loop: one large run partitioned across
-//! worker shards synchronized by conservative time windows.
+//! The simulation engine: one deterministic event loop, partitioned
+//! across worker shards synchronized by conservative time windows.
 //!
-//! [`ShardedSim`] splits the node id space into `W` disjoint shards
-//! under a [`PartitionStrategy`] — contiguous id ranges, or
-//! topology-aware domain-aligned cuts planned from the routed model
+//! [`Sim`] splits the node id space into `W` disjoint shards under a
+//! [`PartitionStrategy`] — contiguous id ranges, or topology-aware
+//! domain-aligned cuts planned from the routed model
 //! ([`egm_topology::RoutedModel::partition_plan`]); each shard owns its
 //! nodes, their RNG streams, an [`EventQueue`](crate::EventQueue), a
-//! [`Traffic`] table and a copy of the fault view, and dispatches its
-//! own events through the *same* per-event path as the sequential
-//! [`Sim`](crate::Sim). Shards synchronize at window boundaries: a
-//! window's length is the **lookahead** — a
-//! conservative lower bound on the delivery delay of any cross-shard
-//! message ([`SimConfig::conservative_lookahead`]), derived from the
-//! minimum latency crossing the chosen partition. Within a window
-//! `[T, T + L)`, no shard can receive an event it has not already been
-//! handed (anything generated in the window arrives at `>= T + L`), so
-//! every shard may run its window independently — in parallel. Because
-//! the lookahead is the minimum *cross-shard* latency, the partition
-//! directly sets the window economics: domain-aligned cuts push the
-//! floor from the stub-access latency up to the inter-core latency of
-//! the planned clusters, collapsing the window count.
+//! [`Traffic`] table and a copy of the fault view, and every shard
+//! dispatches its events through the same per-event path. Shards
+//! synchronize at window boundaries: a window's length is the
+//! **lookahead** — a conservative lower bound on the delivery delay of
+//! any cross-shard message ([`SimConfig::conservative_lookahead`]),
+//! derived from the minimum latency crossing the chosen partition.
+//! Within a window `[T, T + L)`, no shard can receive an event it has
+//! not already been handed (anything generated in the window arrives at
+//! `>= T + L`), so every shard may run its window independently — in
+//! parallel. Because the lookahead is the minimum *cross-shard* latency,
+//! the partition directly sets the window economics: domain-aligned cuts
+//! push the floor from the stub-access latency up to the inter-core
+//! latency of the planned clusters, collapsing the window count.
 //!
 //! Cross-shard sends are buffered in per-`(source, destination)` *lanes*
 //! and moved into the destination queue at the window boundary. Order
 //! needs no repair at the merge: every event carries an intrinsic
 //! `(time, origin, origin-seq)` key (see [`crate::sim`]), so the
 //! destination queue interleaves merged and local events exactly where
-//! the sequential engine would have dispatched them. The outputs —
-//! delivery records, sealed [`Traffic`] (including the first-appearance
-//! spill order, reconstructed at merge time), scheduler counters, event
-//! counts — are **byte-identical to the sequential [`Sim`](crate::Sim)
-//! for every `W`**, which the `shard_equivalence` and
-//! `shard_determinism` suites assert on every PR.
+//! a one-shard run would have dispatched them. The outputs — delivery
+//! records, sealed [`Traffic`] (including the first-appearance spill
+//! order, reconstructed at merge time), scheduler counters, event counts
+//! — are **byte-identical for every `W`**, which the `shard_equivalence`
+//! and `shard_determinism` suites assert on every PR.
 //!
-//! With `W = 1` there are no cross-shard pairs, the lookahead is
-//! unbounded, and the run collapses to a single window — the sharded
-//! engine then is the sequential engine plus one bounds check.
+//! With `W = 1` (what `with_shards(0)` and `with_shards(1)` select, and
+//! the default below [`SHARD_MIN_NODES`] nodes) there is no partition
+//! plan, no cross-shard routing, no lookahead and no window: the one
+//! shard drains its queue straight to the deadline. That is the
+//! sequential event loop, and it is the reference every multi-shard run
+//! is compared against.
 
 use crate::event::{EventKind, QueueStats, Scheduled};
 use crate::net::{Network, SimConfig};
@@ -46,12 +47,13 @@ use crate::time::{SimDuration, SimTime};
 use crate::wire::Wire;
 use crate::NodeId;
 use egm_rng::hash::FastHashMap;
+use egm_rng::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-/// Node count below which the size-based default runs the sequential
-/// engine: window bookkeeping has nothing to amortize on runs whose whole
-/// working set is cache-resident.
+/// Node count below which the size-based default runs one shard: window
+/// bookkeeping has nothing to amortize on runs whose whole working set is
+/// cache-resident.
 pub const SHARD_MIN_NODES: usize = 1000;
 
 /// Cap on the size-based default shard count: beyond ~8 shards the
@@ -75,8 +77,8 @@ pub fn auto_shards_for(nodes: usize) -> usize {
 }
 
 /// Reads the `EGM_SHARDS` override from the environment; `None` when
-/// unset (the size-based default applies). `0` forces the sequential
-/// engine — the escape hatch, mirroring `EGM_EVENT_QUEUE=heap`.
+/// unset (the size-based default applies). `0` and `1` both run one
+/// shard.
 ///
 /// # Panics
 ///
@@ -86,7 +88,7 @@ pub fn shards_from_env() -> Option<usize> {
     match std::env::var("EGM_SHARDS") {
         Err(_) => None,
         Ok(v) => Some(v.parse().unwrap_or_else(|_| {
-            panic!("unrecognized EGM_SHARDS {v:?}: use 0 (sequential) or a shard count")
+            panic!("unrecognized EGM_SHARDS {v:?}: use a shard count (0 or 1 for one shard)")
         })),
     }
 }
@@ -106,10 +108,6 @@ pub enum PartitionStrategy {
     /// clustering populated core routers to maximize the inter-shard
     /// latency floor; shards balanced by node count.
     DomainAligned,
-    /// Domain-aligned cuts balanced by the per-domain event-rate
-    /// estimate (fanout × view degree × traffic share) instead of raw
-    /// node count.
-    RateBalanced,
 }
 
 impl PartitionStrategy {
@@ -118,7 +116,6 @@ impl PartitionStrategy {
         match s {
             "contiguous" => Some(PartitionStrategy::Contiguous),
             "domain-aligned" | "domain" => Some(PartitionStrategy::DomainAligned),
-            "rate-balanced" | "rate" => Some(PartitionStrategy::RateBalanced),
             _ => None,
         }
     }
@@ -128,7 +125,6 @@ impl PartitionStrategy {
         match self {
             PartitionStrategy::Contiguous => "contiguous",
             PartitionStrategy::DomainAligned => "domain-aligned",
-            PartitionStrategy::RateBalanced => "rate-balanced",
         }
     }
 }
@@ -150,42 +146,8 @@ pub fn partition_from_env() -> Option<PartitionStrategy> {
     match std::env::var("EGM_PARTITION") {
         Err(_) => None,
         Ok(v) => Some(PartitionStrategy::parse(&v).unwrap_or_else(|| {
-            panic!(
-                "unrecognized EGM_PARTITION {v:?}: use contiguous, domain-aligned or rate-balanced"
-            )
+            panic!("unrecognized EGM_PARTITION {v:?}: use contiguous or domain-aligned")
         })),
-    }
-}
-
-/// How a run's shard count was resolved (see
-/// [`SimConfig::shard_choice`]): a forced count (scenario or `EGM_SHARDS`)
-/// selects the sharded engine even at `W = 1` (and the sequential engine
-/// at `0`), while the size-based default only engages the sharded engine
-/// when it picks `W > 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardChoice {
-    /// Explicitly requested by configuration or environment.
-    Forced(usize),
-    /// The size-based default ([`auto_shards_for`]).
-    Auto(usize),
-}
-
-impl ShardChoice {
-    /// The shard count to run with (`0` meaning the sequential engine).
-    pub fn count(self) -> usize {
-        match self {
-            ShardChoice::Forced(w) => w,
-            ShardChoice::Auto(w) => w,
-        }
-    }
-
-    /// Whether the run should use [`ShardedSim`] rather than the
-    /// sequential [`Sim`](crate::Sim).
-    pub fn use_sharded(self) -> bool {
-        match self {
-            ShardChoice::Forced(w) => w >= 1,
-            ShardChoice::Auto(w) => w > 1,
-        }
     }
 }
 
@@ -197,7 +159,7 @@ impl ShardChoice {
 /// shard, nodes are ordered by ascending global id — that invariant is
 /// what lets the engine hand each shard its slice of the global RNG
 /// stream vectors and run `on_start` callbacks in a per-shard order
-/// consistent with the sequential engine.
+/// consistent with a one-shard run.
 ///
 /// The map itself comes from a [`PartitionStrategy`]:
 /// [`Partition::contiguous`] builds the near-equal range baseline, and
@@ -313,7 +275,9 @@ impl Partition {
 /// threaded window driver.
 type Mailbox<M> = Mutex<Vec<Scheduled<EventKind<M>>>>;
 
-/// Window-loop counters of a sharded run.
+/// Window-loop counters of a run. A one-shard run has no partition and
+/// no windows, so it reports `ShardStats { shards: 1, ..Default::default() }`
+/// — in particular an empty `per_shard_events`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Number of worker shards.
@@ -322,8 +286,7 @@ pub struct ShardStats {
     /// strategy falls back to [`PartitionStrategy::Contiguous`] when the
     /// delay source yields no domain structure to align with).
     pub strategy: PartitionStrategy,
-    /// Conservative window length in microseconds (0 when a single shard
-    /// runs windowless).
+    /// Conservative window length in microseconds (0 for one shard).
     pub lookahead_us: u64,
     /// Average virtual time advanced per executed window, in
     /// microseconds — the *realized* lookahead. At least `lookahead_us`
@@ -341,25 +304,29 @@ pub struct ShardStats {
     /// no shard had cross-shard sends pending.
     pub exchanges_skipped: u64,
     /// Events dispatched by each shard — the observable partition
-    /// balance (sums to the sequential engine's event count).
+    /// balance (sums to the run's event count). Empty for one shard.
     pub per_shard_events: Vec<u64>,
 }
 
-/// The deterministic sharded discrete-event simulator: the partitioned
-/// twin of [`crate::Sim`]. See the module documentation for the
-/// synchronization scheme; the public surface mirrors `Sim` (harness
-/// scheduling, bounded runs, node access, traffic) with two deltas —
-/// [`ShardedSim::send_external`] is pre-run only, and
-/// [`ShardedSim::traffic`] requires [`ShardedSim::seal_traffic`] first
-/// (the per-shard tables are merged at seal time).
+/// The deterministic discrete-event simulator driving a set of
+/// [`Protocol`] nodes, on one shard or partitioned across several (see
+/// the module documentation). The shard count comes from
+/// [`SimConfig::shard_count`]; every count produces byte-identical
+/// results. Two things differ once there is more than one shard:
+/// [`Sim::send_external`] is pre-run only, and [`Sim::traffic`] requires
+/// [`Sim::seal_traffic`] first (the per-shard tables are merged at seal
+/// time). Nodes and their messages must be `Send`, because a multi-shard
+/// run may drive its shards on worker threads.
+///
+/// See the crate-level documentation for an end-to-end example.
 #[derive(Debug)]
-pub struct ShardedSim<P: Protocol> {
+pub struct Sim<P: Protocol> {
     shards: Vec<EngineState<P>>,
     partition: Arc<Partition>,
     /// The strategy the partition was actually built with.
     strategy: PartitionStrategy,
-    /// Conservative window length; `None` collapses the run to a single
-    /// window (single shard).
+    /// Conservative window length; `None` for one shard, which runs
+    /// windowless.
     lookahead: Option<SimDuration>,
     now: SimTime,
     harness_seq: u64,
@@ -380,31 +347,32 @@ pub struct ShardedSim<P: Protocol> {
     progress: Option<SharedSink>,
 }
 
-impl<P: Protocol + Send> ShardedSim<P>
+impl<P: Protocol + Send> Sim<P>
 where
     P::Msg: Send,
 {
-    /// Creates a sharded simulation of `nodes` over the configured
-    /// network, partitioned across `shards` workers (clamped to the node
-    /// count). `seed` produces exactly the RNG tree of
-    /// [`crate::Sim::new`], so the run is byte-identical to the
-    /// sequential engine — under every [`PartitionStrategy`]: each node
-    /// receives the RNG streams of its *global* id regardless of which
-    /// shard owns it.
+    /// Creates a simulation of `nodes` over the configured network,
+    /// partitioned across [`SimConfig::shard_count`] shards.
     ///
-    /// The strategy resolves in precedence order: `Scenario` /
-    /// [`SimConfig::with_partition`], then `EGM_PARTITION`, then auto
-    /// (domain-aligned when the delay source yields a plan, contiguous
-    /// otherwise). A planned strategy falls back to contiguous when no
-    /// plan is available (uniform delays, or fewer populated domains
-    /// than shards); the effective strategy is reported in
-    /// [`ShardStats::strategy`].
+    /// `seed` determines every random choice in the run: node RNG streams
+    /// are forked from it in id order, followed by one network stream
+    /// (loss/jitter) per sender. Each node receives the streams of its
+    /// *global* id whichever shard owns it, so the run is byte-identical
+    /// under every shard count and [`PartitionStrategy`].
+    ///
+    /// With more than one shard the strategy resolves in precedence
+    /// order: `Scenario` / [`SimConfig::with_partition`], then
+    /// `EGM_PARTITION`, then auto (domain-aligned when the delay source
+    /// yields a plan, contiguous otherwise). Domain-aligned falls back to
+    /// contiguous when no plan is available (uniform delays, or fewer
+    /// populated domains than shards); the effective strategy is
+    /// reported in [`ShardStats::strategy`].
     ///
     /// # Panics
     ///
-    /// Panics if the node count mismatches the network configuration or
-    /// `shards` is zero.
-    pub fn new(config: SimConfig, seed: u64, nodes: Vec<P>, shards: usize) -> Self {
+    /// Panics if the number of nodes does not match the network
+    /// configuration.
+    pub fn new(config: SimConfig, seed: u64, nodes: Vec<P>) -> Self {
         let n = nodes.len();
         assert_eq!(
             n,
@@ -412,56 +380,32 @@ where
             "node vector must match network size"
         );
         assert!(n <= MAX_NODES, "too many nodes for event keys");
-        assert!(shards > 0, "need at least one shard");
-        let w = shards.min(n);
-        let (partition, strategy) = resolve_partition(&config, n, w);
-        let partition = Arc::new(partition);
-        let lookahead = config.conservative_lookahead(partition.assignment());
-        assert!(
-            w == 1 || lookahead.is_some(),
-            "multi-shard runs must have a cross-shard latency floor"
-        );
+        let w = config.shard_count();
         let spill_threshold = config.link_spill_threshold();
-        // A single shard's local record order *is* the global order, so
-        // the spill rule needs no keys there (and the W = 1 hot path
-        // stays probe-free, like the sequential engine's).
-        let track_first_keys = spill_threshold != usize::MAX && w > 1;
         let (node_rngs, net_rngs) = fork_streams(seed, n);
-        // Distribute nodes and streams by *global* id: shard `s` gets,
-        // in ascending id order, exactly the entries of its members —
-        // for contiguous partitions this degenerates to slicing.
-        let mut nodes: Vec<Option<P>> = nodes.into_iter().map(Some).collect();
-        let mut node_rngs: Vec<Option<_>> = node_rngs.into_iter().map(Some).collect();
-        let mut net_rngs: Vec<Option<_>> = net_rngs.into_iter().map(Some).collect();
-        let mut states = Vec::with_capacity(w);
-        for s in 0..w {
-            let members = partition.members(s);
-            let route = ShardRoute::new(
-                partition.clone(),
-                s,
-                w,
-                track_first_keys.then(FastHashMap::default),
+        let (partition, strategy, lookahead, shards) = if w == 1 {
+            // One shard: no partition plan, no routing, no lookahead —
+            // its loop is the plain sequential one.
+            let core = SimCore::new(config, node_rngs, net_rngs, None);
+            (
+                Arc::new(Partition::contiguous(n, 1)),
+                PartitionStrategy::Contiguous,
+                None,
+                vec![EngineState::new(core, nodes)],
+            )
+        } else {
+            let (partition, strategy) = resolve_partition(&config, n, w);
+            let lookahead = config.conservative_lookahead(partition.assignment());
+            assert!(
+                lookahead.is_some(),
+                "multi-shard runs must have a cross-shard latency floor"
             );
-            let take = |v: &mut Vec<Option<_>>| -> Vec<_> {
-                members
-                    .iter()
-                    .map(|&i| v[i as usize].take().expect("each node owned once"))
-                    .collect()
-            };
-            let core = SimCore::new(
-                config.clone(),
-                take(&mut node_rngs),
-                take(&mut net_rngs),
-                Some(route),
-            );
-            let owned: Vec<P> = members
-                .iter()
-                .map(|&i| nodes[i as usize].take().expect("each node owned once"))
-                .collect();
-            states.push(EngineState::new(core, owned));
-        }
-        ShardedSim {
-            shards: states,
+            let partition = Arc::new(partition);
+            let shards = split_across_shards(config, &partition, nodes, node_rngs, net_rngs);
+            (partition, strategy, lookahead, shards)
+        };
+        Sim {
+            shards,
             partition,
             strategy,
             lookahead,
@@ -479,9 +423,10 @@ where
         }
     }
 
-    /// Installs an observe-only progress sink: both window drivers
-    /// report each planned window ([`ProgressEvent::Window`]) to it.
-    /// The sink receives copies of counters the engine already keeps
+    /// Installs an observe-only progress sink: with more than one shard,
+    /// both window drivers report each planned window
+    /// ([`ProgressEvent::Window`]) to it; one shard runs no windows and
+    /// reports nothing. The sink receives copies of counters the engine already keeps
     /// and is never consulted for decisions, so results stay
     /// byte-identical with or without one (the workload
     /// `progress_determinism` test asserts this).
@@ -512,18 +457,20 @@ where
         self.shards.len()
     }
 
-    /// The node partition.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
     /// The partition strategy that actually took effect.
     pub fn strategy(&self) -> PartitionStrategy {
         self.strategy
     }
 
-    /// Window-loop counters.
+    /// Window-loop counters (see [`ShardStats`] for what one shard
+    /// reports).
     pub fn shard_stats(&self) -> ShardStats {
+        if self.shards.len() == 1 {
+            return ShardStats {
+                shards: 1,
+                ..ShardStats::default()
+            };
+        }
         ShardStats {
             shards: self.shards.len(),
             strategy: self.strategy,
@@ -537,28 +484,31 @@ where
         }
     }
 
-    /// Total events processed across all shards; identical to the
-    /// sequential engine's count (replicated fault events are counted
-    /// once, by the shard owning the affected node).
+    /// Total events processed across all shards, identical for every
+    /// shard count (replicated fault events are counted once, by the
+    /// shard owning the affected node). Stale cancellable-timer events
+    /// dropped at pop time are *not* counted — they never dispatch.
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.events_processed).sum()
     }
 
-    /// Timers cancelled across all shards.
+    /// Number of timers cancelled through [`crate::Context::cancel_timer`],
+    /// across all shards.
     pub fn timers_cancelled(&self) -> u64 {
         self.shards.iter().map(|s| s.core.timers_cancelled()).sum()
     }
 
-    /// Stale timer events dropped at pop time across all shards.
+    /// Number of stale (cancelled) timer events dropped at pop time
+    /// before dispatch, across all shards.
     pub fn stale_timer_drops(&self) -> u64 {
         self.shards.iter().map(|s| s.core.stale_timer_drops()).sum()
     }
 
-    /// Event-queue counters aggregated over the per-shard queues: sums
-    /// for activity counters (`pushes`, `pops`, `resizes`, `year_scans`)
-    /// and `bucket_count`, with `max_len` the sum of per-shard peaks (an
-    /// upper bound on global concurrency) and `bucket_width_us` the
-    /// maximum across shards.
+    /// Event-queue counters (see [`QueueStats`]), aggregated over the
+    /// per-shard queues: sums for activity counters (`pushes`, `pops`,
+    /// `resizes`, `year_scans`) and `bucket_count`, with `max_len` the
+    /// sum of per-shard peaks (an upper bound on global concurrency)
+    /// and `bucket_width_us` the maximum across shards.
     pub fn queue_stats(&self) -> QueueStats {
         let mut agg = QueueStats::default();
         for s in &self.shards {
@@ -613,10 +563,16 @@ where
         })
     }
 
-    /// Merges the per-shard traffic tables into the sealed global view
-    /// (idempotent). Must be called before [`ShardedSim::traffic`]; the
-    /// simulation must not send any further messages afterwards.
+    /// Seals the traffic log so repeated per-link queries are O(1) (see
+    /// [`Traffic::seal`]); with more than one shard this merges the
+    /// per-shard tables into the global view. Idempotent. Call once
+    /// measurement is over: the simulation must not send any further
+    /// messages afterwards.
     pub fn seal_traffic(&mut self) {
+        if let [only] = self.shards.as_mut_slice() {
+            only.core.traffic.seal();
+            return;
+        }
         if self.merged.is_some() {
             return;
         }
@@ -634,16 +590,19 @@ where
         self.merged = Some(Traffic::merge_shards(parts, keys, self.spill_threshold));
     }
 
-    /// The merged transport-level traffic accounting.
+    /// Transport-level traffic accounting.
     ///
     /// # Panics
     ///
-    /// Panics unless [`ShardedSim::seal_traffic`] ran first — per-shard
-    /// tables are merged at seal time.
+    /// Panics on a multi-shard run unless [`Sim::seal_traffic`] ran
+    /// first — per-shard tables are merged at seal time.
     pub fn traffic(&self) -> &Traffic {
+        if let [only] = self.shards.as_slice() {
+            return &only.core.traffic;
+        }
         self.merged
             .as_ref()
-            .expect("call ShardedSim::seal_traffic() before traffic()")
+            .expect("call Sim::seal_traffic() before traffic() on a multi-shard run")
     }
 
     /// The virtual network's current state. Fault events (silence,
@@ -655,7 +614,7 @@ where
     }
 
     /// Reserves the next harness event key (shared by every shard so
-    /// harness events order exactly as in the sequential engine).
+    /// harness events order identically for every shard count).
     fn next_harness_seq(&mut self) -> u64 {
         let seq = pack_seq(0, self.harness_seq);
         self.harness_seq += 1;
@@ -678,9 +637,10 @@ where
         });
     }
 
-    /// Schedules node silencing at time `at`. The event is replicated to
-    /// every shard (each holds its own fault view) under one shared key,
-    /// so all shards apply it at the same point of the global order.
+    /// Schedules node silencing (fault injection, §6.3) at time `at`. The
+    /// event is replicated to every shard (each holds its own fault view)
+    /// under one shared key, so all shards apply it at the same point of
+    /// the global order.
     ///
     /// # Panics
     ///
@@ -698,7 +658,7 @@ where
     }
 
     /// Schedules node revival at time `at` (see
-    /// [`ShardedSim::schedule_silence`]).
+    /// [`Sim::schedule_silence`]).
     ///
     /// # Panics
     ///
@@ -717,7 +677,7 @@ where
 
     /// Schedules a transit-degradation change at time `at`, replicated to
     /// every shard under one shared key like
-    /// [`ShardedSim::schedule_silence`]. Degradation only *lengthens*
+    /// [`Sim::schedule_silence`]. Degradation only *lengthens*
     /// delays (`latency_mult ≥ 1.0`), so the conservative window
     /// lookahead computed from the healthy network remains a valid lower
     /// bound.
@@ -751,7 +711,7 @@ where
 
     /// Schedules a processing-slowdown change for `node` at time `at`,
     /// replicated to every shard under one shared key (see
-    /// [`ShardedSim::schedule_silence`]).
+    /// [`Sim::schedule_silence`]).
     ///
     /// # Panics
     ///
@@ -769,16 +729,16 @@ where
     }
 
     /// Injects a message from outside the simulation, delivered after the
-    /// usual network delay. Pre-run only under sharding: mid-run
-    /// injection would race the window pipeline.
+    /// usual network delay. Useful in tests. With more than one shard it
+    /// is pre-run only: mid-run injection would race the window pipeline.
     ///
     /// # Panics
     ///
-    /// Panics once the simulation has started.
+    /// Panics on a multi-shard run once the simulation has started.
     pub fn send_external(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
         assert!(
-            !self.shards.iter().any(|s| s.started),
-            "ShardedSim::send_external is pre-run only"
+            self.shards.len() == 1 || !self.shards.iter().any(|s| s.started),
+            "Sim::send_external is pre-run only on a multi-shard run"
         );
         let seq = self.next_harness_seq();
         let src = self.partition.shard_of(from.index());
@@ -833,35 +793,24 @@ where
     /// lets the loop leap over idle stretches of virtual time.
     fn run_windows(&mut self, deadline: Option<SimTime>) {
         let Some(lookahead) = self.lookahead else {
-            // Single shard: no cross-shard events can exist, so the one
-            // queue drains straight to the deadline — one "window", no
-            // lanes, no barriers. This is the W = 1 configuration whose
-            // per-window overhead the acceptance bar caps.
-            debug_assert_eq!(self.shards.len(), 1);
-            if let Some(sink) = &self.progress {
-                if let Some(next) = self.shards[0].core.next_time() {
-                    sink.emit(ProgressEvent::Window {
-                        window: self.windows + 1,
-                        now_us: next.as_micros(),
-                        events: self.shards[0].events_processed,
-                    });
-                }
-            }
-            self.shards[0].run_bounded(deadline);
-            self.windows += 1;
-            self.now = self.now.max(self.shards[0].now);
+            // One shard: no cross-shard events can exist, so the one
+            // queue drains straight to the deadline — the sequential
+            // event loop, with no windows, lanes or barriers.
+            let only = &mut self.shards[0];
+            only.run_bounded(deadline);
+            self.now = self.now.max(only.now);
             return;
         };
         if self.threaded {
             self.run_windows_threaded(deadline, lookahead);
         } else {
-            self.run_windows_sequential(deadline, lookahead);
+            self.run_windows_single_threaded(deadline, lookahead);
         }
     }
 
     /// Single-threaded window driver: identical schedule to the threaded
     /// driver, useful on one core and as the determinism reference.
-    fn run_windows_sequential(&mut self, deadline: Option<SimTime>, lookahead: SimDuration) {
+    fn run_windows_single_threaded(&mut self, deadline: Option<SimTime>, lookahead: SimDuration) {
         for sh in &mut self.shards {
             sh.ensure_started();
         }
@@ -889,9 +838,9 @@ where
             }
             self.windows += 1;
         }
-        // Like the threaded driver (and the sequential `Sim`), the clock
-        // finishes at the latest dispatched event; `run_until` then pads
-        // it to the deadline.
+        // Like the threaded driver (and one shard), the clock finishes at
+        // the latest dispatched event; `run_until` then pads it to the
+        // deadline.
         if let Some(max_now) = self.shards.iter().map(|sh| sh.now).max() {
             self.now = self.now.max(max_now);
         }
@@ -1121,20 +1070,20 @@ where
 }
 
 /// Rewrites per-shard first-appearance keys into one globally comparable
-/// order, reproducing the *sequential execution* order of the record
+/// order, reproducing the *one-shard execution* order of the record
 /// stream.
 ///
 /// Pre-run and `on_start` keys are already global (harness counter /
 /// node id). Dispatch-phase keys rank by `(tick, local execution
 /// position)`, which is only comparable within one shard: when several
 /// shards hold first appearances in the *same* microsecond tick, their
-/// interleaving must be replayed. The sequential engine's within-tick
-/// order is the greedy head-merge of the shards' local execution
-/// sequences by intrinsic event key — at every step the event the
-/// sequential queue would pop next is the smallest-keyed *head* (local
-/// predecessors must dispatch first, because a same-tick child only
-/// enters the queue when its parent runs; shards not holding first
-/// appearances in the tick cannot reorder the others and are skipped).
+/// interleaving must be replayed. A one-shard run's within-tick order is
+/// the greedy head-merge of the shards' local execution sequences by
+/// intrinsic event key — at every step the event its single queue would
+/// pop next is the smallest-keyed *head* (local predecessors must
+/// dispatch first, because a same-tick child only enters the queue when
+/// its parent runs; shards not holding first appearances in the tick
+/// cannot reorder the others and are skipped).
 /// The replay assigns each involved event its cross-shard slot, and the
 /// keys are rewritten to `(tick, slot)`.
 #[allow(clippy::type_complexity)]
@@ -1208,25 +1157,68 @@ fn resolve_first_keys(
         .collect()
 }
 
-/// Builds the node partition for a `w`-shard run of `n` nodes, applying
-/// the strategy resolution of [`SimConfig::partition_strategy`] and
-/// returning the partition together with the strategy that actually
-/// took effect: a planned strategy (domain-aligned or rate-balanced)
-/// falls back to contiguous when the delay source yields no plan —
-/// uniform delays, a dense model, or fewer populated domains than
-/// shards. Single-shard runs always use the (trivial) contiguous
-/// partition.
-fn resolve_partition(config: &SimConfig, n: usize, w: usize) -> (Partition, PartitionStrategy) {
-    let requested = config.partition_strategy();
-    if w > 1 && requested != Some(PartitionStrategy::Contiguous) {
-        let rate = requested == Some(PartitionStrategy::RateBalanced);
-        if let Some(assign) = config.planned_assignment(w, rate) {
-            let effective = if rate {
-                PartitionStrategy::RateBalanced
-            } else {
-                PartitionStrategy::DomainAligned
+/// Builds one [`EngineState`] per shard of a multi-shard `partition`,
+/// handing each node and its RNG streams to the shard that owns its
+/// *global* id: shard `s` gets, in ascending id order, exactly the
+/// entries of its members (for contiguous partitions this degenerates to
+/// slicing).
+fn split_across_shards<P: Protocol>(
+    config: SimConfig,
+    partition: &Arc<Partition>,
+    nodes: Vec<P>,
+    node_rngs: Vec<Rng>,
+    net_rngs: Vec<Rng>,
+) -> Vec<EngineState<P>> {
+    let w = partition.shard_count();
+    // Keys are only needed where the spill rule must replay the global
+    // first-appearance order.
+    let track_first_keys = config.link_spill_threshold() != usize::MAX;
+    let mut nodes: Vec<Option<P>> = nodes.into_iter().map(Some).collect();
+    let mut node_rngs: Vec<Option<Rng>> = node_rngs.into_iter().map(Some).collect();
+    let mut net_rngs: Vec<Option<Rng>> = net_rngs.into_iter().map(Some).collect();
+    (0..w)
+        .map(|s| {
+            let members = partition.members(s);
+            let route = ShardRoute::new(
+                partition.clone(),
+                s,
+                w,
+                track_first_keys.then(FastHashMap::default),
+            );
+            let take = |v: &mut Vec<Option<Rng>>| -> Vec<Rng> {
+                members
+                    .iter()
+                    .map(|&i| v[i as usize].take().expect("each node owned once"))
+                    .collect()
             };
-            return (Partition::from_assignment(assign, w), effective);
+            let core = SimCore::new(
+                config.clone(),
+                take(&mut node_rngs),
+                take(&mut net_rngs),
+                Some(route),
+            );
+            let owned: Vec<P> = members
+                .iter()
+                .map(|&i| nodes[i as usize].take().expect("each node owned once"))
+                .collect();
+            EngineState::new(core, owned)
+        })
+        .collect()
+}
+
+/// Builds the node partition for a `w`-shard run of `n` nodes (`w > 1`),
+/// applying the strategy resolution of [`SimConfig::partition_strategy`]
+/// and returning the partition together with the strategy that actually
+/// took effect: domain-aligned falls back to contiguous when the delay
+/// source yields no plan — uniform delays, a dense model, or fewer
+/// populated domains than shards.
+fn resolve_partition(config: &SimConfig, n: usize, w: usize) -> (Partition, PartitionStrategy) {
+    if config.partition_strategy() != Some(PartitionStrategy::Contiguous) {
+        if let Some(assign) = config.planned_assignment(w) {
+            return (
+                Partition::from_assignment(assign, w),
+                PartitionStrategy::DomainAligned,
+            );
         }
     }
     (Partition::contiguous(n, w), PartitionStrategy::Contiguous)
@@ -1258,7 +1250,7 @@ fn shard_threads_enabled() -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::{auto_shards_for, Partition, ShardChoice};
+    use super::{auto_shards_for, Partition};
 
     #[test]
     fn contiguous_partition_covers_every_node_once() {
@@ -1299,14 +1291,5 @@ mod tests {
         assert_eq!(auto_shards_for(999), 1);
         assert!(auto_shards_for(1000) >= 1);
         assert!(auto_shards_for(10_000) <= super::MAX_AUTO_SHARDS);
-    }
-
-    #[test]
-    fn shard_choice_engine_selection() {
-        assert!(ShardChoice::Forced(1).use_sharded());
-        assert!(ShardChoice::Forced(4).use_sharded());
-        assert!(!ShardChoice::Forced(0).use_sharded());
-        assert!(!ShardChoice::Auto(1).use_sharded());
-        assert!(ShardChoice::Auto(2).use_sharded());
     }
 }

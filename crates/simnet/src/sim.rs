@@ -1,4 +1,5 @@
-//! The simulation engine: event loop, protocol trait, and node context.
+//! The protocol trait, the node context, and the per-shard event core
+//! that the engine ([`crate::Sim`]) drives.
 //!
 //! # Event ordering: intrinsic `(time, origin, origin-seq)` keys
 //!
@@ -7,17 +8,17 @@
 //! per-origin counter (`pack_seq`). The key is therefore an intrinsic
 //! property of the schedule — a function of the originating node's own
 //! event history, never of the global interleaving in which pushes
-//! happened to execute. That is what lets the sharded engine
-//! ([`crate::ShardedSim`]) process disjoint node ranges concurrently and
-//! still dispatch every event at exactly the position the sequential
-//! [`Sim`] would: both engines compute identical keys without
-//! coordination.
+//! happened to execute. That is what lets a multi-shard run process
+//! disjoint node sets concurrently and still dispatch every event at
+//! exactly the position a one-shard run would: every shard computes
+//! identical keys without coordination.
 //!
 //! For the same reason the network randomness (loss, jitter) is one
 //! stream *per sender* rather than one global stream: a sender's draws
-//! depend only on its own send order, which both engines reproduce.
+//! depend only on its own send order, which every shard count
+//! reproduces.
 
-use crate::event::{EventKind, QueueImpl, QueueStats, Scheduled};
+use crate::event::{EventKind, QueueImpl, Scheduled};
 use crate::net::{Network, SimConfig};
 use crate::shard::Partition;
 use crate::stats::Traffic;
@@ -42,8 +43,8 @@ pub(crate) const MAX_NODES: usize = (1 << (64 - LOCAL_SEQ_BITS)) - 1;
 
 /// Packs an origin rank and its per-origin counter into the
 /// [`Scheduled::seq`] tie-breaker. Keys are unique (each origin counts
-/// its own pushes) and independent of execution interleaving, so the
-/// sequential and sharded engines order same-tick events identically.
+/// its own pushes) and independent of execution interleaving, so every
+/// shard count orders same-tick events identically.
 #[inline]
 pub(crate) fn pack_seq(origin_rank: u32, local: u64) -> u64 {
     debug_assert!((origin_rank as usize) <= MAX_NODES, "origin out of range");
@@ -51,11 +52,11 @@ pub(crate) fn pack_seq(origin_rank: u32, local: u64) -> u64 {
     ((origin_rank as u64) << LOCAL_SEQ_BITS) | local
 }
 
-/// Forks the deterministic RNG streams exactly as every engine must: one
-/// protocol stream per node in id order, then one network (loss/jitter)
-/// stream per *sender* in id order. The sharded engine distributes these
-/// vectors by *global* node id (whatever the partition shape), so a
-/// node's streams are identical no matter which shard — or engine —
+/// Forks the deterministic RNG streams exactly as every shard count must:
+/// one protocol stream per node in id order, then one network
+/// (loss/jitter) stream per *sender* in id order. A multi-shard run
+/// distributes these vectors by *global* node id (whatever the partition
+/// shape), so a node's streams are identical no matter which shard
 /// drives it.
 pub(crate) fn fork_streams(seed: u64, n: usize) -> (Vec<Rng>, Vec<Rng>) {
     let mut root = Rng::seed_from_u64(seed);
@@ -139,7 +140,7 @@ impl TimerTable {
 /// All callbacks receive a [`Context`] giving access to the virtual clock,
 /// the node's own id and RNG stream, message sending and timers. Nodes are
 /// single-threaded and run to completion per event (the actor model), so no
-/// synchronization is ever needed — including under the sharded engine,
+/// synchronization is ever needed — including on a multi-shard run,
 /// which never runs two events of the same node concurrently.
 ///
 /// # Examples
@@ -163,7 +164,7 @@ pub trait Protocol {
     }
 
     /// Called when the experiment harness injects a command (see
-    /// [`Sim::schedule_command`]) — e.g. "multicast message number `value`
+    /// [`crate::Sim::schedule_command`]) — e.g. "multicast message number `value`
     /// now" from the traffic generator.
     fn on_command(&mut self, ctx: &mut Context<'_, Self::Msg>, value: u64) {
         let _ = (ctx, value);
@@ -171,7 +172,7 @@ pub trait Protocol {
 }
 
 /// Cross-shard routing state carried by a worker shard's core; absent in
-/// the sequential engine.
+/// a one-shard run.
 #[derive(Debug)]
 pub(crate) struct ShardRoute<M> {
     /// The node partition, shared by all shards of one run.
@@ -192,7 +193,7 @@ pub(crate) struct ShardRoute<M> {
     /// therefore rank events by `(tick, local execution position)`, and
     /// the seal-time merge replays the cross-shard interleaving of any
     /// tick holding first appearances from several shards (see
-    /// `crate::shard::resolve_first_keys`) — reproducing the sequential
+    /// `crate::shard::resolve_first_keys`) — reproducing the one-shard
     /// record stream exactly.
     pub(crate) first_keys: Option<FastHashMap<u64, u128>>,
     /// Order key of the event currently dispatching (low bits left for
@@ -255,7 +256,7 @@ impl<M> ShardRoute<M> {
 /// Phase component of a traffic-record order key: pre-run harness
 /// injections come first, then `on_start` callbacks in node order, then
 /// dispatched events in `(time, seq)` order — exactly the record order of
-/// a sequential run.
+/// a one-shard run.
 const PHASE_PRERUN: u8 = 0;
 /// See [`PHASE_PRERUN`].
 const PHASE_START: u8 = 1;
@@ -293,9 +294,8 @@ pub(crate) fn key_with_mid(key: u128, mid: u64) -> u128 {
     (key & !(((1u128 << 64) - 1) << 14)) | ((mid as u128) << 14)
 }
 
-/// Shared mutable simulation state of one engine (the whole run for
-/// [`Sim`], one shard's slice for [`crate::ShardedSim`]): everything but
-/// the protocol nodes themselves.
+/// Shared mutable simulation state of one shard (the whole run when
+/// there is one shard): everything but the protocol nodes themselves.
 #[derive(Debug)]
 pub(crate) struct SimCore<M> {
     pub(crate) queue: QueueImpl<EventKind<M>>,
@@ -308,7 +308,7 @@ pub(crate) struct SimCore<M> {
     node_rngs: Vec<Rng>,
     /// Per-sender network RNG streams (loss/jitter/egress draws).
     net_rngs: Vec<Rng>,
-    /// Cross-shard routing; `None` for the sequential engine.
+    /// Cross-shard routing; `None` in a one-shard run.
     pub(crate) route: Option<ShardRoute<M>>,
 }
 
@@ -324,13 +324,14 @@ impl<M: Wire> SimCore<M> {
     ) -> Self {
         // A worker shard of a multi-shard run records traffic with an
         // unbounded local threshold: the spill rule is applied globally
-        // at merge time so it matches the sequential first-appearance
-        // order (see `Traffic::merge_shards`). A single-shard run's
-        // local order *is* the global order, so it keeps the configured
-        // threshold like the sequential engine.
-        let spill = match &route {
-            Some(r) if r.partition.shard_count() > 1 => usize::MAX,
-            _ => config.link_spill_threshold(),
+        // at merge time so it matches the one-shard first-appearance
+        // order (see `Traffic::merge_shards`). A one-shard run's local
+        // order *is* the global order, so it keeps the configured
+        // threshold.
+        let spill = if route.is_some() {
+            usize::MAX
+        } else {
+            config.link_spill_threshold()
         };
         let owned = node_rngs.len();
         let mut traffic = Traffic::with_spill_threshold(spill);
@@ -362,7 +363,7 @@ impl<M: Wire> SimCore<M> {
     }
 
     /// Local index of an owned node: its position in this core's
-    /// ascending-id member list. The sequential engine owns every node,
+    /// ascending-id member list. A one-shard core owns every node,
     /// so local index = global id; a shard looks it up in the partition's
     /// O(1) table.
     #[inline]
@@ -547,12 +548,12 @@ impl<M: Wire> SimCore<M> {
         self.send_message(now, from, to, bytes, payload)
     }
 
-    /// See [`Sim::timers_cancelled`].
+    /// See [`crate::Sim::timers_cancelled`].
     pub(crate) fn timers_cancelled(&self) -> u64 {
         self.timers.cancelled
     }
 
-    /// See [`Sim::stale_timer_drops`].
+    /// See [`crate::Sim::stale_timer_drops`].
     pub(crate) fn stale_timer_drops(&self) -> u64 {
         self.timers.stale_drops
     }
@@ -597,7 +598,7 @@ impl<M: Wire> Context<'_, M> {
 
     /// Sends `msg` to `to` over the virtual network.
     ///
-    /// The message is tallied in [`Sim::traffic`] (even if subsequently
+    /// The message is tallied in [`crate::Sim::traffic`] (even if subsequently
     /// dropped by loss or silencing, matching how ModelNet logs sender-side
     /// transmissions), then delivered after the network delay unless
     /// dropped.
@@ -651,11 +652,11 @@ impl<M: Wire> Context<'_, M> {
     }
 }
 
-/// One engine's execution state: its core plus the protocol nodes it
-/// owns. The sequential [`Sim`] holds exactly one (owning every node);
-/// [`crate::ShardedSim`] holds one per worker shard. Both drive events
-/// through the same dispatch path, which is what makes "W shards" a
-/// performance knob rather than a behavioural one.
+/// One shard's execution state: its core plus the protocol nodes it
+/// owns. [`crate::Sim`] holds one per shard (a single one owning every
+/// node in a one-shard run), and every shard drives events through the
+/// same dispatch path, which is what makes "W shards" a performance knob
+/// rather than a behavioural one.
 #[derive(Debug)]
 pub(crate) struct EngineState<P: Protocol> {
     pub(crate) core: SimCore<P::Msg>,
@@ -752,7 +753,7 @@ impl<P: Protocol> EngineState<P> {
             // Fault events are replicated to every shard (each keeps its
             // own fault view); the event is *counted* once, by the shard
             // owning the affected node, so `events_processed` sums to the
-            // sequential engine's count.
+            // one-shard count.
             EventKind::Silence(node) => {
                 if self.core.owns(node) {
                     self.events_processed += 1;
@@ -795,300 +796,13 @@ impl<P: Protocol> EngineState<P> {
     }
 }
 
-/// The sequential discrete-event simulator driving a set of [`Protocol`]
-/// nodes on one thread. [`crate::ShardedSim`] is the partitioned
-/// equivalent for large runs; both produce byte-identical results.
-///
-/// See the crate-level documentation for an end-to-end example.
-#[derive(Debug)]
-pub struct Sim<P: Protocol> {
-    eng: EngineState<P>,
-    /// Counter behind harness-originated event keys (commands, faults,
-    /// external sends), mirrored by the sharded engine.
-    harness_seq: u64,
-}
-
-impl<P: Protocol> Sim<P> {
-    /// Creates a simulation of `nodes` over the configured network.
-    ///
-    /// `seed` determines every random choice in the run: node RNG streams
-    /// are forked from it in id order, followed by one network stream
-    /// (loss/jitter) per sender.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of nodes does not match the network
-    /// configuration.
-    pub fn new(config: SimConfig, seed: u64, nodes: Vec<P>) -> Self {
-        assert_eq!(
-            nodes.len(),
-            config.node_count(),
-            "node vector must match network size"
-        );
-        assert!(nodes.len() <= MAX_NODES, "too many nodes for event keys");
-        let (node_rngs, net_rngs) = fork_streams(seed, nodes.len());
-        let core = SimCore::new(config, node_rngs, net_rngs, None);
-        Sim {
-            eng: EngineState::new(core, nodes),
-            harness_seq: 0,
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.eng.now
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.eng.nodes.len()
-    }
-
-    /// Total events processed so far. Stale cancellable-timer events that
-    /// are dropped at pop time are *not* counted — they never dispatch.
-    pub fn events_processed(&self) -> u64 {
-        self.eng.events_processed
-    }
-
-    /// Number of timers cancelled through [`Context::cancel_timer`].
-    pub fn timers_cancelled(&self) -> u64 {
-        self.eng.core.timers_cancelled()
-    }
-
-    /// Number of stale (cancelled) timer events dropped at pop time
-    /// before dispatch.
-    pub fn stale_timer_drops(&self) -> u64 {
-        self.eng.core.stale_timer_drops()
-    }
-
-    /// Transport-level traffic accounting.
-    pub fn traffic(&self) -> &Traffic {
-        &self.eng.core.traffic
-    }
-
-    /// Seals the traffic log so repeated per-link queries are O(1) (see
-    /// [`Traffic::seal`]). Call once measurement is over: the simulation
-    /// must not send any further messages afterwards.
-    pub fn seal_traffic(&mut self) {
-        self.eng.core.traffic.seal();
-    }
-
-    /// Event-queue counters (pushes/pops plus, for the calendar queue,
-    /// bucket geometry and resize activity). See
-    /// [`crate::event::QueueStats`].
-    pub fn queue_stats(&self) -> QueueStats {
-        self.eng.core.queue.stats()
-    }
-
-    /// Immutable access to a protocol node (e.g. to read final state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn node(&self, id: NodeId) -> &P {
-        &self.eng.nodes[id.index()]
-    }
-
-    /// Mutable access to a protocol node (e.g. for harness-side setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.eng.nodes[id.index()]
-    }
-
-    /// Iterates over all nodes with their ids.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.eng
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i), n))
-    }
-
-    /// Mutably iterates over all nodes with their ids (e.g. for the
-    /// harness's end-of-run sweeps).
-    pub fn nodes_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut P)> {
-        self.eng
-            .nodes
-            .iter_mut()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i), n))
-    }
-
-    /// The virtual network (to inspect fault state).
-    pub fn network(&self) -> &Network {
-        self.eng.core.network()
-    }
-
-    /// Reserves the next harness event key.
-    fn next_harness_seq(&mut self) -> u64 {
-        let seq = pack_seq(0, self.harness_seq);
-        self.harness_seq += 1;
-        seq
-    }
-
-    /// Injects a message from outside the simulation, delivered after the
-    /// usual network delay. Useful in tests.
-    pub fn send_external(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let seq = self.next_harness_seq();
-        let bytes = msg.wire_bytes();
-        self.eng.core.begin_harness(seq);
-        let now = self.eng.now;
-        if let Some(delay) = self
-            .eng
-            .core
-            .send_message(now, from, to, bytes, msg.is_payload())
-        {
-            let time = now + delay;
-            self.eng.core.enqueue(Scheduled {
-                time,
-                seq,
-                item: EventKind::Deliver { to, from, msg },
-            });
-        }
-    }
-
-    /// Schedules a harness command for `node` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_command(&mut self, at: SimTime, node: NodeId, value: u64) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Command { node, value },
-        });
-    }
-
-    /// Schedules node silencing (fault injection, §6.3) at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_silence(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Silence(node),
-        });
-    }
-
-    /// Schedules node revival at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_revive(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Revive(node),
-        });
-    }
-
-    /// Schedules a transit-degradation change at time `at`: cross-domain
-    /// traffic gets its base delay multiplied by `latency_mult` and an
-    /// extra drop probability `extra_loss` from then on. Schedule
-    /// `(1.0, 0.0)` to restore the healthy network (see
-    /// [`crate::Network::degrade_transit`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, `latency_mult < 1.0`, or
-    /// `extra_loss` is outside `[0, 1]` (parameters are validated here so
-    /// a bad schedule fails fast, not mid-run).
-    pub fn schedule_degrade(&mut self, at: SimTime, latency_mult: f64, extra_loss: f64) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
-        assert!(
-            latency_mult.is_finite() && latency_mult >= 1.0,
-            "degradation may only lengthen delays"
-        );
-        assert!(
-            (0.0..=1.0).contains(&extra_loss),
-            "extra loss must be a probability"
-        );
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Degrade {
-                latency_mult,
-                extra_loss,
-            },
-        });
-    }
-
-    /// Schedules a processing-slowdown change for `node` at time `at`:
-    /// every message *into* the node is delayed by an extra `delay` from
-    /// then on. Schedule `ZERO` to restore full speed (see
-    /// [`crate::Network::slow_down`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_slowdown(&mut self, at: SimTime, node: NodeId, delay: SimDuration) {
-        assert!(at >= self.eng.now, "cannot schedule in the past");
-        let seq = self.next_harness_seq();
-        self.eng.core.enqueue(Scheduled {
-            time: at,
-            seq,
-            item: EventKind::Slowdown { node, delay },
-        });
-    }
-
-    /// Processes the next event, if any. Returns `false` when the queue is
-    /// empty.
-    ///
-    /// A popped cancellable-timer event whose generation is stale is
-    /// dropped here, before dispatch: the clock does not advance, the
-    /// protocol is never called, and [`Sim::events_processed`] does not
-    /// count it (see [`Sim::stale_timer_drops`]).
-    pub fn step(&mut self) -> bool {
-        self.eng.ensure_started();
-        let Some(ev) = self.eng.core.queue.pop_next(None) else {
-            return false;
-        };
-        self.eng.dispatch(ev);
-        true
-    }
-
-    /// Runs until the event queue is exhausted or virtual time would pass
-    /// `deadline`; the clock finishes at `deadline` if it was reached.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.eng.run_bounded(Some(deadline));
-        if self.eng.now < deadline {
-            self.eng.now = deadline;
-        }
-    }
-
-    /// Runs for `d` of virtual time from now.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.eng.now + d;
-        self.run_until(deadline);
-    }
-
-    /// Runs until the queue is fully drained (beware periodic timers:
-    /// protocols that always re-arm will never drain).
-    pub fn run_to_idle(&mut self) {
-        while self.step() {}
-    }
-}
 #[cfg(test)]
 mod tests {
-    use super::{Context, Protocol, Sim};
+    use super::{Context, Protocol};
     use crate::net::SimConfig;
     use crate::time::{SimDuration, SimTime};
     use crate::wire::Wire;
-    use crate::NodeId;
+    use crate::{NodeId, Sim};
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {

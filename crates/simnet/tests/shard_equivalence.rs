@@ -1,10 +1,10 @@
 //! Equivalence suite for the sharded event loop.
 //!
-//! The sharded engine is only allowed to exist because it is
-//! indistinguishable from the sequential one: identical per-node dispatch
-//! traces, identical counters, identical sealed traffic (including the
-//! first-appearance spill order) for every shard count and both window
-//! drivers. Layers:
+//! Multi-shard runs are only allowed to exist because they are
+//! indistinguishable from the one-shard run (the sequential event loop):
+//! identical per-node dispatch traces, identical counters, identical
+//! sealed traffic (including the first-appearance spill order) for every
+//! shard count and both window drivers. Layers:
 //!
 //! 1. **Partitioner properties** — every node lands in exactly one
 //!    contiguous shard range, for arbitrary `(n, W)`.
@@ -13,14 +13,15 @@
 //!    pairs) on dense and routed models.
 //! 3. **Full-simulation lockstep** — a chaos protocol (bursty sends,
 //!    same-tick ties, cancellable timers armed and cancelled from the
-//!    node RNG streams, fault injection) runs once sequentially and once
-//!    per shard width; all observable outputs must match byte for byte.
+//!    node RNG streams, fault injection) runs once on one shard and once
+//!    per wider shard width; all observable outputs must match byte for
+//!    byte.
 //!
 //! The CI `shard-equivalence` job runs this suite with a fixed case
 //! count (`PROPTEST_CASES`).
 
 use egm_simnet::{
-    Context, LinkTally, NodeId, Partition, PartitionStrategy, Protocol, ShardedSim, Sim, SimConfig,
+    Context, LinkTally, NodeId, Partition, PartitionStrategy, Protocol, ShardStats, Sim, SimConfig,
     SimDuration, SimTime, TimerToken, Wire,
 };
 use egm_topology::{RoutedModel, TransitStubConfig};
@@ -57,8 +58,8 @@ impl Chaos {
     }
 
     /// Drives send/schedule/cancel decisions from the node's
-    /// deterministic RNG stream; both engines see identical streams, so
-    /// any trace divergence is the engine's fault.
+    /// deterministic RNG stream; every shard count sees identical
+    /// streams, so any trace divergence is the engine's fault.
     fn act(&mut self, ctx: &mut Context<'_, Probe>) {
         if self.budget == 0 {
             return;
@@ -160,83 +161,42 @@ struct Script {
     deadline_us: u64,
 }
 
-enum Engine {
-    Seq(Box<Sim<Chaos>>),
-    Sharded(Box<ShardedSim<Chaos>>),
-}
-
-fn run_script(config: SimConfig, script: &Script, shards: Option<(usize, bool)>) -> Snapshot {
+/// Runs `script` on `shards` workers (0 and 1 both mean one shard) with
+/// the given window driver.
+fn run_script(config: SimConfig, script: &Script, shards: usize, threaded: bool) -> Snapshot {
     let nodes: Vec<Chaos> = (0..script.n).map(|_| Chaos::new(script.budget)).collect();
-    let mut engine = match shards {
-        None => Engine::Seq(Box::new(Sim::new(config, script.seed, nodes))),
-        Some((w, threaded)) => {
-            let mut sim = ShardedSim::new(config, script.seed, nodes, w);
-            sim.set_threaded(threaded);
-            Engine::Sharded(Box::new(sim))
-        }
-    };
+    let mut s = Sim::new(config.with_shards(shards), script.seed, nodes);
+    s.set_threaded(threaded);
     for &(at, node, value) in &script.commands {
-        let (at, node) = (SimTime::from_micros(at), NodeId(node % script.n));
-        match &mut engine {
-            Engine::Seq(s) => s.schedule_command(at, node, value),
-            Engine::Sharded(s) => s.schedule_command(at, node, value),
-        }
+        s.schedule_command(SimTime::from_micros(at), NodeId(node % script.n), value);
     }
     for &(at, node, down_us) in &script.faults {
         let node = NodeId(node % script.n);
-        let (down, up) = (SimTime::from_micros(at), SimTime::from_micros(at + down_us));
-        match &mut engine {
-            Engine::Seq(s) => {
-                s.schedule_silence(down, node);
-                s.schedule_revive(up, node);
-            }
-            Engine::Sharded(s) => {
-                s.schedule_silence(down, node);
-                s.schedule_revive(up, node);
-            }
-        }
+        s.schedule_silence(SimTime::from_micros(at), node);
+        s.schedule_revive(SimTime::from_micros(at + down_us), node);
     }
-    let deadline = SimTime::from_micros(script.deadline_us);
-    match engine {
-        Engine::Seq(mut s) => {
-            s.run_until(deadline);
-            s.seal_traffic();
-            let t = s.traffic();
-            Snapshot {
-                traces: s.nodes().map(|(_, n)| n.trace.clone()).collect(),
-                events: s.events_processed(),
-                cancelled: s.timers_cancelled(),
-                stale_drops: s.stale_timer_drops(),
-                total_messages: t.total_messages(),
-                total_bytes: t.total_bytes(),
-                total_payloads: t.total_payloads(),
-                links: t.links(),
-                spilled: t.spilled(),
-                link_count: t.link_count(),
-                payloads_per_node: t.payloads_sent_per_node(script.n),
-                now_us: s.now().as_micros(),
-            }
-        }
-        Engine::Sharded(mut s) => {
-            s.run_until(deadline);
-            s.seal_traffic();
-            let t = s.traffic();
-            Snapshot {
-                traces: s.nodes().map(|(_, n)| n.trace.clone()).collect(),
-                events: s.events_processed(),
-                cancelled: s.timers_cancelled(),
-                stale_drops: s.stale_timer_drops(),
-                total_messages: t.total_messages(),
-                total_bytes: t.total_bytes(),
-                total_payloads: t.total_payloads(),
-                links: t.links(),
-                spilled: t.spilled(),
-                link_count: t.link_count(),
-                payloads_per_node: t.payloads_sent_per_node(script.n),
-                now_us: s.now().as_micros(),
-            }
-        }
+    s.run_until(SimTime::from_micros(script.deadline_us));
+    s.seal_traffic();
+    let t = s.traffic();
+    Snapshot {
+        traces: s.nodes().map(|(_, n)| n.trace.clone()).collect(),
+        events: s.events_processed(),
+        cancelled: s.timers_cancelled(),
+        stale_drops: s.stale_timer_drops(),
+        total_messages: t.total_messages(),
+        total_bytes: t.total_bytes(),
+        total_payloads: t.total_payloads(),
+        links: t.links(),
+        spilled: t.spilled(),
+        link_count: t.link_count(),
+        payloads_per_node: t.payloads_sent_per_node(script.n),
+        now_us: s.now().as_micros(),
     }
+}
+
+/// The reference every multi-shard run is compared against.
+fn one_shard(config: SimConfig, script: &Script) -> Snapshot {
+    run_script(config, script, 1, false)
 }
 
 fn default_script(n: usize, seed: u64) -> Script {
@@ -258,10 +218,10 @@ fn default_script(n: usize, seed: u64) -> Script {
 fn sharded_matches_sequential_on_uniform_network() {
     let script = default_script(12, 7);
     let config = || SimConfig::uniform(12, 3.0);
-    let seq = run_script(config(), &script, None);
-    for w in [1, 2, 3, 4] {
+    let seq = one_shard(config(), &script);
+    for w in [2, 3, 4] {
         for threaded in [false, true] {
-            let sharded = run_script(config(), &script, Some((w, threaded)));
+            let sharded = run_script(config(), &script, w, threaded);
             assert_eq!(seq, sharded, "divergence at W={w}, threaded={threaded}");
         }
     }
@@ -276,14 +236,14 @@ fn sharded_matches_sequential_with_loss_jitter_and_spill() {
             .with_jitter(0.15)
             .with_link_spill_threshold(12)
     };
-    let seq = run_script(config(), &script, None);
+    let seq = one_shard(config(), &script);
     assert!(
         seq.spilled.messages > 0,
         "the scenario must actually exercise the spill rule"
     );
     for w in [2, 4] {
         for threaded in [false, true] {
-            let sharded = run_script(config(), &script, Some((w, threaded)));
+            let sharded = run_script(config(), &script, w, threaded);
             assert_eq!(seq, sharded, "divergence at W={w}, threaded={threaded}");
         }
     }
@@ -294,9 +254,9 @@ fn sharded_matches_sequential_on_routed_model() {
     let model = TransitStubConfig::small().with_clients(40).build();
     let script = default_script(40, 3);
     let config = || SimConfig::from_model(model.clone()).with_egress_bandwidth(200_000.0);
-    let seq = run_script(config(), &script, None);
+    let seq = one_shard(config(), &script);
     for w in [2, 4] {
-        let sharded = run_script(config(), &script, Some((w, true)));
+        let sharded = run_script(config(), &script, w, true);
         assert_eq!(seq, sharded, "divergence at W={w}");
     }
 }
@@ -305,7 +265,7 @@ fn sharded_matches_sequential_on_routed_model() {
 fn domain_aligned_chaos_matches_sequential_under_loss_jitter_faults_and_spill() {
     // The full chaos battery (bursty sends, same-tick ties, cancellable
     // timers, loss, jitter, fault injection, spill) in lockstep against
-    // the sequential engine, but under the *planned* partition: the
+    // the one-shard run, but under the *planned* partition: the
     // domain-aligned cut must be just as invisible as the contiguous one,
     // at every width and on both window drivers.
     let model = TransitStubConfig::small().with_clients(40).build();
@@ -317,26 +277,26 @@ fn domain_aligned_chaos_matches_sequential_under_loss_jitter_faults_and_spill() 
             .with_link_spill_threshold(12)
             .with_partition(PartitionStrategy::DomainAligned)
     };
-    // The planner must actually engage (W=1 legitimately stays
-    // windowless-contiguous): a silent fallback would make this test
-    // re-prove the contiguous case.
+    // The planner must actually engage (one shard has no partition to
+    // plan): a silent fallback would make this test re-prove the
+    // contiguous case.
     for w in [2usize, 4] {
         let nodes: Vec<Chaos> = (0..40).map(|_| Chaos::new(0)).collect();
-        let sim = ShardedSim::new(config(), 1, nodes, w);
+        let sim = Sim::new(config().with_shards(w), 1, nodes);
         assert_eq!(
             sim.strategy(),
             PartitionStrategy::DomainAligned,
             "planner fell back to contiguous at W={w}"
         );
     }
-    let seq = run_script(config(), &script, None);
+    let seq = one_shard(config(), &script);
     assert!(
         seq.spilled.messages > 0,
         "the scenario must actually exercise the spill rule"
     );
-    for w in [1, 2, 4] {
+    for w in [2, 4] {
         for threaded in [false, true] {
-            let sharded = run_script(config(), &script, Some((w, threaded)));
+            let sharded = run_script(config(), &script, w, threaded);
             assert_eq!(seq, sharded, "divergence at W={w}, threaded={threaded}");
         }
     }
@@ -344,14 +304,27 @@ fn domain_aligned_chaos_matches_sequential_under_loss_jitter_faults_and_spill() 
 
 #[test]
 fn single_shard_is_bit_identical_to_the_plain_sim() {
-    // W = 1 runs the sharded engine windowless; it must still be the
-    // sequential engine, observable bit for bit.
+    // `with_shards(0)`, `with_shards(1)` and the size-based default (one
+    // shard at this size) are the same windowless engine: identical
+    // outputs, and no partition or window counters to report.
     for seed in [1, 11, 99] {
         let script = default_script(9, seed);
         let config = || SimConfig::uniform(9, 4.0).with_jitter(0.1);
-        let seq = run_script(config(), &script, None);
-        let sharded = run_script(config(), &script, Some((1, false)));
-        assert_eq!(seq, sharded, "W=1 diverged at seed {seed}");
+        let one = one_shard(config(), &script);
+        for threaded in [false, true] {
+            assert_eq!(one, run_script(config(), &script, 0, threaded));
+        }
+        let nodes: Vec<Chaos> = (0..9).map(|_| Chaos::new(script.budget)).collect();
+        let mut plain = Sim::new(config(), seed, nodes);
+        assert_eq!(plain.shard_count(), 1);
+        plain.run_until(SimTime::from_micros(script.deadline_us));
+        assert_eq!(
+            plain.shard_stats(),
+            ShardStats {
+                shards: 1,
+                ..ShardStats::default()
+            }
+        );
     }
 }
 
@@ -362,8 +335,8 @@ fn window_drivers_agree() {
     // it directly localizes a failure.
     let script = default_script(14, 5);
     let config = || SimConfig::uniform(14, 2.0);
-    let st = run_script(config(), &script, Some((4, false)));
-    let mt = run_script(config(), &script, Some((4, true)));
+    let st = run_script(config(), &script, 4, false);
+    let mt = run_script(config(), &script, 4, true);
     assert_eq!(st, mt);
 }
 
@@ -371,7 +344,7 @@ fn window_drivers_agree() {
 /// within one microsecond tick: node 2, on receiving from node 3, sends
 /// on a fresh link *and* arms a zero-delay timer whose event key (origin
 /// rank 3) is smaller than the triggering delivery's (origin rank 4);
-/// the timer then sends on another fresh link. The sequential record
+/// the timer then sends on another fresh link. The one-shard record
 /// stream sees the delivery's link first, execution order — not key
 /// order — and the sharded spill reconstruction must reproduce that.
 struct Inversion;
@@ -407,41 +380,28 @@ fn spill_order_survives_same_tick_key_inversion() {
     // inverted pair, so ranking by event key instead of execution order
     // would track 2→1 and spill 2→0.
     let config = || SimConfig::uniform(4, 5.0).with_link_spill_threshold(3);
-    let run = |shards: Option<(usize, bool)>| {
+    let run = |shards: usize, threaded: bool| {
         let nodes: Vec<Inversion> = (0..4).map(|_| Inversion).collect();
-        let deadline = SimTime::from_micros(50_000);
-        match shards {
-            None => {
-                let mut s = Sim::new(config(), 1, nodes);
-                s.schedule_command(SimTime::from_micros(1_000), NodeId(0), 0);
-                s.schedule_command(SimTime::from_micros(2_000), NodeId(3), 1);
-                s.run_until(deadline);
-                s.seal_traffic();
-                (s.traffic().links(), s.traffic().spilled())
-            }
-            Some((w, threaded)) => {
-                let mut s = ShardedSim::new(config(), 1, nodes, w);
-                s.set_threaded(threaded);
-                s.schedule_command(SimTime::from_micros(1_000), NodeId(0), 0);
-                s.schedule_command(SimTime::from_micros(2_000), NodeId(3), 1);
-                s.run_until(deadline);
-                s.seal_traffic();
-                (s.traffic().links(), s.traffic().spilled())
-            }
-        }
+        let mut s = Sim::new(config().with_shards(shards), 1, nodes);
+        s.set_threaded(threaded);
+        s.schedule_command(SimTime::from_micros(1_000), NodeId(0), 0);
+        s.schedule_command(SimTime::from_micros(2_000), NodeId(3), 1);
+        s.run_until(SimTime::from_micros(50_000));
+        s.seal_traffic();
+        (s.traffic().links(), s.traffic().spilled())
     };
-    let (seq_links, seq_spill) = run(None);
+    let (seq_links, seq_spill) = run(1, false);
     assert_eq!(seq_links.len(), 3, "three tracked links");
     assert!(
         seq_links
             .iter()
             .any(|&((f, t), _)| f == NodeId(2) && t == NodeId(0)),
-        "sequential tracks the delivery's link (2→0): {seq_links:?}"
+        "one shard tracks the delivery's link (2→0): {seq_links:?}"
     );
     assert_eq!(seq_spill.messages, 1, "the timer's link (2→1) spills");
     for w in [2usize, 4] {
         for threaded in [false, true] {
-            let (links, spill) = run(Some((w, threaded)));
+            let (links, spill) = run(w, threaded);
             assert_eq!(
                 links, seq_links,
                 "tracked set diverged at W={w}, threaded={threaded}"
@@ -479,7 +439,7 @@ fn threaded_driver_propagates_worker_panics() {
     // surface to the caller instead of deadlocking.
     let result = std::panic::catch_unwind(|| {
         let nodes: Vec<Bomb> = (0..4).map(|_| Bomb).collect();
-        let mut sim = ShardedSim::new(SimConfig::uniform(4, 1.0), 1, nodes, 2);
+        let mut sim = Sim::new(SimConfig::uniform(4, 1.0).with_shards(2), 1, nodes);
         sim.set_threaded(true);
         sim.run_until(SimTime::from_micros(20_000));
     });
@@ -490,7 +450,7 @@ fn threaded_driver_propagates_worker_panics() {
 fn run_to_idle_clock_agrees_across_engines_and_drivers() {
     // `run_until` clamps the clock to the deadline, which would mask a
     // driver-dependent finish time; drain to idle instead and require
-    // every engine/driver to stop at the same (last-event) instant.
+    // every width/driver to stop at the same (last-event) instant.
     let n = 10;
     let config = || SimConfig::uniform(n, 3.0);
     let build = || -> Vec<Chaos> { (0..n).map(|_| Chaos::new(25)).collect() };
@@ -499,12 +459,12 @@ fn run_to_idle_clock_agrees_across_engines_and_drivers() {
             f(SimTime::from_micros(500 + k * 2_100), NodeId(k as usize), k);
         }
     };
-    let mut seq = Sim::new(config(), 9, build());
+    let mut seq = Sim::new(config().with_shards(1), 9, build());
     schedule(&mut |at, node, v| seq.schedule_command(at, node, v));
     seq.run_to_idle();
-    for w in [1usize, 3] {
+    for w in [2usize, 3] {
         for threaded in [false, true] {
-            let mut sharded = ShardedSim::new(config(), 9, build(), w);
+            let mut sharded = Sim::new(config().with_shards(w), 9, build());
             sharded.set_threaded(threaded);
             schedule(&mut |at, node, v| sharded.schedule_command(at, node, v));
             sharded.run_to_idle();
@@ -642,8 +602,8 @@ proptest! {
             }
             c
         };
-        let seq = run_script(config(), &script, None);
-        let sharded = run_script(config(), &script, Some((w.min(n), threaded)));
+        let seq = one_shard(config(), &script);
+        let sharded = run_script(config(), &script, w.min(n), threaded);
         prop_assert_eq!(&seq, &sharded);
     }
 
@@ -659,17 +619,12 @@ proptest! {
     ) {
         let model = TransitStubConfig::scaled(n).with_seed(seed).build();
         let config = SimConfig::from_model(model.clone());
-        for strategy in [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::DomainAligned,
-            PartitionStrategy::RateBalanced,
-        ] {
-            let rate = strategy == PartitionStrategy::RateBalanced;
+        for strategy in [PartitionStrategy::Contiguous, PartitionStrategy::DomainAligned] {
             let p = match strategy {
                 PartitionStrategy::Contiguous => Partition::contiguous(n, w),
                 // A declined plan falls back to contiguous in the sim;
                 // here only a returned plan is checked.
-                _ => match config.planned_assignment(w, rate) {
+                PartitionStrategy::DomainAligned => match config.planned_assignment(w) {
                     Some(assign) => Partition::from_assignment(assign, w),
                     None => continue,
                 },

@@ -42,6 +42,6 @@ pub mod transit_stub;
 
 pub use geometry::Point;
 pub use graph::Graph;
-pub use model::{MemoryShape, PartitionPlan, PlanBalance, RoutedModel};
+pub use model::{MemoryShape, PartitionPlan, RoutedModel};
 pub use stats::ModelStats;
 pub use transit_stub::TransitStubConfig;

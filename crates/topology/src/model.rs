@@ -291,9 +291,7 @@ pub struct PartitionPlan {
     assign: Vec<u32>,
     /// Number of shards (every one of them non-empty).
     shards: usize,
-    /// Predicted load per shard in the planner's balance unit (client
-    /// count under [`PlanBalance::Nodes`], estimated events per unit time
-    /// under [`PlanBalance::Rate`]).
+    /// Client count per shard (the planner's balance unit).
     shard_weights: Vec<f64>,
 }
 
@@ -308,28 +306,10 @@ impl PartitionPlan {
         self.shards
     }
 
-    /// Predicted per-shard load in the planner's balance unit.
+    /// Client count per shard, the unit the planner balances.
     pub fn shard_weights(&self) -> &[f64] {
         &self.shard_weights
     }
-}
-
-/// What [`RoutedModel::partition_plan`] balances shards by.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PlanBalance {
-    /// Balance by client count.
-    Nodes,
-    /// Balance by the per-domain event-rate estimate
-    /// ([`RoutedModel::domain_event_rates`]): each client contributes
-    /// `fanout × view_degree` events per unit traffic share, so a
-    /// domain's predicted rate scales with its population times the
-    /// configured gossip intensity.
-    Rate {
-        /// Gossip fanout (eager/lazy targets per relay).
-        fanout: usize,
-        /// Partial-view degree (shuffle and retry traffic scale with it).
-        view_degree: usize,
-    },
 }
 
 /// Weight-capped single-linkage agglomeration: merges the closest pair of
@@ -824,31 +804,6 @@ impl RoutedModel {
         )
     }
 
-    /// Per-stub-domain event-rate estimate, indexed by domain id, or
-    /// `None` for dense layouts.
-    ///
-    /// Each client relays to `fanout` gossip targets and maintains
-    /// `view_degree` partial-view peers (shuffle and lazy-retry traffic
-    /// scale with the view), and under the paper's homogeneous workload
-    /// every client carries an expected traffic share of `1/n` of the
-    /// multicast stream. A domain's predicted rate is therefore
-    /// `clients_in_domain × fanout × view_degree / n` — proportional to
-    /// population under homogeneous parameters, but expressed in rate
-    /// units so heterogeneous per-domain gossip intensities slot in
-    /// without an interface change.
-    pub fn domain_event_rates(&self, fanout: usize, view_degree: usize) -> Option<Vec<f64>> {
-        let tl = match &self.repr {
-            ModelRepr::Dense { .. } => return None,
-            ModelRepr::Routed(tl) => tl,
-        };
-        let per_client = fanout as f64 * view_degree as f64 / self.n as f64;
-        let mut rates = vec![0.0; tl.domains.len()];
-        for col in &tl.cols {
-            rates[col.domain as usize] += per_client;
-        }
-        Some(rates)
-    }
-
     /// Plans a domain-aligned cut of the client set into `shards` shards,
     /// or `None` when the layout exposes no domain structure (dense
     /// models) or has too few populated domains to fill every shard.
@@ -860,32 +815,24 @@ impl RoutedModel {
     /// of the core and the minimum cross-shard latency — the conservative
     /// lookahead of the sharded simulator — approaches the *inter-region*
     /// core floor instead of the cheapest same-router domain pair.
-    /// Balance weights come from `balance`: client count, or the
-    /// [`RoutedModel::domain_event_rates`] estimate.
+    /// Shards are balanced by client count.
     ///
     /// Deterministic: identical inputs produce identical plans.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn partition_plan(&self, shards: usize, balance: PlanBalance) -> Option<PartitionPlan> {
+    pub fn partition_plan(&self, shards: usize) -> Option<PartitionPlan> {
         assert!(shards > 0, "need at least one shard");
         let tl = match &self.repr {
             ModelRepr::Dense { .. } => return None,
             ModelRepr::Routed(tl) => tl,
         };
-        let per_client = match balance {
-            PlanBalance::Nodes => 1.0,
-            PlanBalance::Rate {
-                fanout,
-                view_degree,
-            } => fanout as f64 * view_degree as f64 / self.n as f64,
-        };
         if shards == 1 {
             return Some(PartitionPlan {
                 assign: vec![0; self.n],
                 shards: 1,
-                shard_weights: vec![per_client * self.n as f64],
+                shard_weights: vec![self.n as f64],
             });
         }
         // Weight per domain, and the units the planner clusters: populated
@@ -893,7 +840,7 @@ impl RoutedModel {
         // else individual populated domains (tiny test models).
         let mut domain_weight = vec![0.0f64; tl.domains.len()];
         for col in &tl.cols {
-            domain_weight[col.domain as usize] += per_client;
+            domain_weight[col.domain as usize] += 1.0;
         }
         let populated: Vec<usize> = (0..tl.domains.len())
             .filter(|&d| domain_weight[d] > 0.0)

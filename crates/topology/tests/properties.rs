@@ -1,6 +1,6 @@
 //! Property-based tests of the topology generator.
 
-use egm_topology::{PlanBalance, RoutedModel, TransitStubConfig};
+use egm_topology::{RoutedModel, TransitStubConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -90,8 +90,8 @@ proptest! {
     }
 
     /// Every partition plan over a scaled transit-stub model is a total,
-    /// disjoint, **domain-aligned** cover with non-empty shards and
-    /// positive predicted weights, under both balance modes.
+    /// disjoint, **domain-aligned** cover with non-empty shards whose
+    /// predicted weights are their client counts.
     #[test]
     fn partition_plans_are_domain_aligned_covers(
         n in 50usize..500,
@@ -99,15 +99,10 @@ proptest! {
         w in 2usize..9,
     ) {
         let model = TransitStubConfig::scaled(n).with_seed(seed).build();
-        let balances = [
-            PlanBalance::Nodes,
-            PlanBalance::Rate { fanout: 11, view_degree: 15 },
-        ];
-        for balance in balances {
-            // The planner declines (falls back to contiguous at the sim
-            // layer) when the topology has fewer populated units than
-            // shards; a returned plan must uphold every invariant.
-            let Some(plan) = model.partition_plan(w, balance) else { continue };
+        // The planner declines (falls back to contiguous at the sim
+        // layer) when the topology has fewer populated units than
+        // shards; a returned plan must uphold every invariant.
+        if let Some(plan) = model.partition_plan(w) {
             let assign = plan.assignment();
             prop_assert_eq!(assign.len(), n);
             prop_assert_eq!(plan.shard_count(), w);
@@ -117,8 +112,8 @@ proptest! {
                 population[s as usize] += 1;
             }
             prop_assert!(population.iter().all(|&p| p > 0), "no empty shard");
-            prop_assert_eq!(plan.shard_weights().len(), w);
-            prop_assert!(plan.shard_weights().iter().all(|&x| x > 0.0));
+            let weights: Vec<usize> = plan.shard_weights().iter().map(|&x| x as usize).collect();
+            prop_assert_eq!(weights, population);
             // Domain alignment: no stub domain is split across shards.
             let mut domain_shard: HashMap<u32, u32> = HashMap::new();
             for (c, &a) in assign.iter().enumerate() {
@@ -159,17 +154,9 @@ proptest! {
 fn scale_axis_models_always_yield_plans() {
     let model = TransitStubConfig::scaled(1000).with_seed(42).build();
     for w in [2, 4, 8] {
-        for balance in [
-            PlanBalance::Nodes,
-            PlanBalance::Rate {
-                fanout: 11,
-                view_degree: 15,
-            },
-        ] {
-            let plan = model
-                .partition_plan(w, balance)
-                .expect("scaled(1000) must be plannable");
-            assert_eq!(plan.shard_count(), w);
-        }
+        let plan = model
+            .partition_plan(w)
+            .expect("scaled(1000) must be plannable");
+        assert_eq!(plan.shard_count(), w);
     }
 }

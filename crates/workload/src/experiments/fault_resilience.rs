@@ -187,7 +187,7 @@ mod tests {
         use crate::faults::RerankPlan;
         use std::sync::Arc;
         // One harsh cell — domain outage plus heavy churn plus online
-        // re-ranking — across the sequential engine and W ∈ {1, 2, 4}.
+        // re-ranking — at W ∈ {2, 4} against the one-shard reference.
         let preset = ScalePreset::N1k;
         let base = preset
             .scenario(2, 11)
@@ -200,8 +200,8 @@ mod tests {
         let cell = base.with_fault_schedule(Some(schedule)).with_churn(heavy);
 
         let seq =
-            crate::runner::run_detailed(&cell.clone().with_shards(Some(0)), Some(model.clone()));
-        for w in [1usize, 2, 4] {
+            crate::runner::run_detailed(&cell.clone().with_shards(Some(1)), Some(model.clone()));
+        for w in [2usize, 4] {
             let sharded = crate::runner::run_detailed(
                 &cell.clone().with_shards(Some(w)),
                 Some(model.clone()),

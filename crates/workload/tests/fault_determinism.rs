@@ -70,9 +70,9 @@ fn library_fault_scenarios_are_byte_identical_across_engines() {
         let scenario = base.clone().with_fault_schedule(Some(schedule));
         let label = kind.label();
 
-        let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-        let again = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-        assert_outcomes_match(&seq, &again, &format!("{label}: seq rerun"));
+        let seq = run_detailed(&scenario.clone().with_shards(Some(1)), Some(model.clone()));
+        let again = run_detailed(&scenario.clone().with_shards(Some(1)), Some(model.clone()));
+        assert_outcomes_match(&seq, &again, &format!("{label}: one-shard rerun"));
         assert!(
             seq.report.mean_delivery_fraction > 0.5,
             "{label}: {}",
@@ -86,7 +86,7 @@ fn library_fault_scenarios_are_byte_identical_across_engines() {
         }
 
         std::env::set_var("EGM_SHARD_THREADS", "0");
-        for w in [1usize, 2, 4] {
+        for w in [2usize, 4] {
             let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
             assert_outcomes_match(&seq, &sharded, &format!("{label}: W={w} single-thread"));
         }

@@ -1,5 +1,5 @@
 //! The ProgressSink is observe-only: a run with a sink installed must be
-//! byte-identical to the same run without one, on both engines. This is
+//! byte-identical to the same run without one, at every shard count. This is
 //! the determinism bar for the live-serving path — the server streams
 //! progress from exactly these hooks, so any feedback from observation
 //! into execution would silently fork the served results from the
@@ -42,55 +42,70 @@ fn assert_identical(plain: &RunOutcome, observed: &RunOutcome) {
 
 #[test]
 fn sequential_run_is_byte_identical_with_sink() {
-    let scenario = Scenario::smoke_test().with_strategy(StrategySpec::Ranked {
-        best_fraction: 0.25,
-    });
-    let plain = runner::run_detailed(&scenario, None);
-    let sink = Arc::new(Collecting::default());
-    let observed = runner::run_detailed_observed(&scenario, None, sink.clone());
-    assert_identical(&plain, &observed);
+    for shards in [Some(0), Some(1)] {
+        let scenario = Scenario::smoke_test()
+            .with_strategy(StrategySpec::Ranked {
+                best_fraction: 0.25,
+            })
+            .with_shards(shards);
+        let plain = runner::run_detailed(&scenario, None);
+        let sink = Arc::new(Collecting::default());
+        let observed = runner::run_detailed_observed(&scenario, None, sink.clone());
+        assert_identical(&plain, &observed);
 
-    let events = sink.0.lock().unwrap();
-    // The sequential engine reports fixed-chunk progress plus the final
-    // summary; windows only exist on the sharded engine.
-    assert!(
-        events
+        // One shard runs no windows: it reports fixed 500 ms chunks, a
+        // last chunk at the end of the run, then the summary — nothing
+        // else.
+        let events = sink.0.lock().unwrap();
+        let (summary, chunks) = events.split_last().expect("frames emitted");
+        assert!(
+            matches!(summary, ProgressEvent::Summary { .. }),
+            "{events:?}"
+        );
+        let times: Vec<f64> = chunks
             .iter()
-            .any(|e| matches!(e, ProgressEvent::Chunk { .. })),
-        "no chunk events: {events:?}"
-    );
-    assert!(
-        matches!(events.last(), Some(ProgressEvent::Summary { .. })),
-        "missing summary: {events:?}"
-    );
+            .map(|e| match e {
+                ProgressEvent::Chunk { now_ms, .. } => *now_ms,
+                other => panic!("one shard emitted {other:?}"),
+            })
+            .collect();
+        let (last, fixed) = times.split_last().expect("at least one chunk");
+        assert!(!fixed.is_empty(), "run shorter than one chunk: {times:?}");
+        for (k, t) in fixed.iter().enumerate() {
+            assert_eq!(*t, 500.0 * (k + 1) as f64, "chunk {k} off the grid");
+        }
+        assert_eq!(*last, observed.report.sim_duration_ms);
+    }
 }
 
 #[test]
 fn sharded_run_is_byte_identical_with_sink_and_reports_windows() {
-    let scenario = Scenario::smoke_test()
-        .with_strategy(StrategySpec::Ranked {
-            best_fraction: 0.25,
-        })
-        .with_shards(Some(2));
-    let plain = runner::run_detailed(&scenario, None);
-    let sink = Arc::new(Collecting::default());
-    let observed = runner::run_detailed_observed(&scenario, None, sink.clone());
-    assert_identical(&plain, &observed);
-    // Window counts are part of the sharded engine's stats and must not
-    // move under observation either.
-    assert_eq!(plain.shard_stats, observed.shard_stats);
+    for w in [2, 4] {
+        let scenario = Scenario::smoke_test()
+            .with_strategy(StrategySpec::Ranked {
+                best_fraction: 0.25,
+            })
+            .with_shards(Some(w));
+        let plain = runner::run_detailed(&scenario, None);
+        let sink = Arc::new(Collecting::default());
+        let observed = runner::run_detailed_observed(&scenario, None, sink.clone());
+        assert_identical(&plain, &observed);
+        // Window counts are part of the run's shard stats and must not
+        // move under observation either.
+        assert_eq!(plain.shard_stats, observed.shard_stats);
 
-    let events = sink.0.lock().unwrap();
-    let windows = events
-        .iter()
-        .filter(|e| matches!(e, ProgressEvent::Window { .. }))
-        .count() as u64;
-    assert!(windows > 0, "sharded run reported no windows");
-    assert_eq!(
-        windows, observed.shard_stats.windows,
-        "every planned window must be reported exactly once"
-    );
-    assert!(matches!(events.last(), Some(ProgressEvent::Summary { .. })));
+        let events = sink.0.lock().unwrap();
+        let windows = events
+            .iter()
+            .filter(|e| matches!(e, ProgressEvent::Window { .. }))
+            .count() as u64;
+        assert!(windows > 0, "W={w} run reported no windows");
+        assert_eq!(
+            windows, observed.shard_stats.windows,
+            "W={w}: every planned window must be reported exactly once"
+        );
+        assert!(matches!(events.last(), Some(ProgressEvent::Summary { .. })));
+    }
 }
 
 #[test]

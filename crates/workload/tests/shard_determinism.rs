@@ -1,10 +1,10 @@
 //! End-to-end shard A/B regression: the sharded event loop must be a
 //! real performance knob, never a behavioural one.
 //!
-//! The `N1k` scale preset runs once sequentially and once per shard
-//! width over a shared topology; every observable output — the full
+//! The `N1k` scale preset runs once on one shard (the sequential event
+//! loop) and once per wider shard width over a shared topology; every observable output — the full
 //! `DeliveryLog`, the per-link traffic tables (whose first-appearance
-//! spill order the sharded engine reconstructs at merge time), per-node
+//! spill order a multi-shard run reconstructs at merge time), per-node
 //! payload counts, scheduler counters and the simulator event count —
 //! must be byte-identical. Together with `egm_simnet`'s
 //! `shard_equivalence` proptest suite this pins the property the whole
@@ -12,6 +12,7 @@
 //! results.
 
 use egm_simnet::shard::auto_shards_for;
+use egm_simnet::ShardStats;
 use egm_workload::experiments::scale::ScalePreset;
 use egm_workload::runner::{run_detailed, RunOutcome};
 use std::sync::Arc;
@@ -44,34 +45,50 @@ fn one_k_preset_is_byte_identical_across_shard_widths() {
     // Share the model so the comparison is purely about the event loop.
     let model = Arc::new(scenario.build_model());
 
-    // The reference: the plain sequential engine, forced explicitly so
-    // the test is immune to `EGM_SHARDS` or multi-core auto defaults.
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    assert_eq!(seq.shard_stats.shards, 1);
-    assert_eq!(seq.shard_stats.windows, 0, "sequential runs no windows");
+    // The reference: one shard, forced explicitly so the test is immune
+    // to `EGM_SHARDS` or multi-core auto defaults.
+    let seq = run_detailed(&scenario.clone().with_shards(Some(1)), Some(model.clone()));
+    assert_eq!(
+        seq.shard_stats,
+        ShardStats {
+            shards: 1,
+            ..ShardStats::default()
+        },
+        "one shard runs no windows and reports no balance"
+    );
 
-    for w in [1usize, 2, 4] {
+    for w in [2usize, 4] {
         let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
         assert_outcomes_match(&seq, &sharded, &format!("W={w}"));
         assert_eq!(sharded.shard_stats.shards, w);
-        if w == 1 {
-            assert_eq!(
-                sharded.shard_stats.windows, 1,
-                "W=1 must collapse to a single windowless pass"
-            );
-            assert_eq!(sharded.shard_stats.lane_events, 0);
-        } else {
-            assert!(
-                sharded.shard_stats.windows > 1,
-                "W={w} must run conservative windows"
-            );
-            assert!(
-                sharded.shard_stats.lane_events > 0,
-                "W={w} must exchange cross-shard traffic"
-            );
-            assert!(sharded.shard_stats.lookahead_us > 0);
-        }
+        assert!(
+            sharded.shard_stats.windows > 1,
+            "W={w} must run conservative windows"
+        );
+        assert!(
+            sharded.shard_stats.lane_events > 0,
+            "W={w} must exchange cross-shard traffic"
+        );
+        assert!(sharded.shard_stats.lookahead_us > 0);
+        assert_eq!(sharded.shard_stats.per_shard_events.len(), w);
     }
+}
+
+#[test]
+fn zero_and_one_shards_are_the_same_engine() {
+    // `with_shards(Some(0))` and `with_shards(Some(1))` both select the
+    // one-shard engine: same report, same (empty) window counters, same
+    // queue counters, down to their `Debug` rendering.
+    let scenario = ScalePreset::N1k.scenario(4, 11);
+    let model = Arc::new(scenario.build_model());
+    let [zero, one] = [0, 1].map(|w| {
+        let outcome = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
+        format!(
+            "{:?}\n{:?}\n{:?}",
+            outcome.report, outcome.shard_stats, outcome.queue
+        )
+    });
+    assert_eq!(zero, one);
 }
 
 /// The 10k twin of the 1k A/B, for the nightly heavy pass:
@@ -81,7 +98,7 @@ fn one_k_preset_is_byte_identical_across_shard_widths() {
 fn ten_k_preset_is_byte_identical_across_shard_widths() {
     let scenario = ScalePreset::N10k.scenario(4, 11);
     let model = Arc::new(scenario.build_model());
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
+    let seq = run_detailed(&scenario.clone().with_shards(Some(1)), Some(model.clone()));
     for w in [2usize, 8] {
         let sharded = run_detailed(&scenario.clone().with_shards(Some(w)), Some(model.clone()));
         assert_outcomes_match(&seq, &sharded, &format!("W={w}"));
@@ -93,7 +110,7 @@ fn ten_k_preset_is_byte_identical_across_shard_widths() {
 /// threshold and the disk spool on, the merge-time accumulator must stay
 /// within the threshold at every instant of the fold (it used to grow
 /// with the total number of distinct links read back from the spool)
-/// while the merged outputs stay byte-identical to the sequential twin.
+/// while the merged outputs stay byte-identical to the one-shard twin.
 #[test]
 fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
     use egm_core::StrategySpec;
@@ -107,9 +124,9 @@ fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
         .with_traffic_spool(true);
     let model = Arc::new(scenario.build_model());
 
-    let seq = run_detailed(&scenario.clone().with_shards(Some(0)), Some(model.clone()));
-    // The sequential engine caps incrementally while recording, so its
-    // merge path never accumulates anything.
+    let seq = run_detailed(&scenario.clone().with_shards(Some(1)), Some(model.clone()));
+    // One shard caps incrementally while recording, so its merge path
+    // never accumulates anything.
     assert_eq!(seq.traffic_acc_peak, 0);
     assert_eq!(seq.report.used_links, threshold);
 
@@ -132,7 +149,7 @@ fn spooled_shard_merge_caps_the_accumulator_and_matches_sequential() {
 #[test]
 fn shard_selection_defaults() {
     // The size-based default engages sharding only at scale; below the
-    // floor the sequential engine keeps its zero-overhead path.
+    // floor one shard keeps the zero-overhead sequential path.
     assert_eq!(auto_shards_for(100), 1);
     assert_eq!(auto_shards_for(999), 1);
     let at_scale = auto_shards_for(1_000);
