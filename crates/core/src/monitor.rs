@@ -89,16 +89,21 @@ impl PerformanceMonitor for OracleDistance {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeMonitor {
-    // Deterministic hasher: aggregate queries iterate this map and sum
-    // f64s, so iteration order must not depend on std's per-process
-    // SipHash seed (it would make `mean_one_way_ms` — and every ranking
-    // built on it — differ across machines at the last bit).
     srtt_ms: FastHashMap<NodeId, f64>,
 }
 
 impl RuntimeMonitor {
     /// Smoothing factor (TCP's classic 1/8).
     const ALPHA: f64 = 0.125;
+
+    /// One EWMA step: the smoothed RTT after folding the sample `rtt_ms`
+    /// into `srtt`. The single definition of the smoothing, shared by
+    /// [`RuntimeMonitor::record_rtt`] and the gossip-sorted ranker's
+    /// observation fold
+    /// ([`BestSet::by_gossip_sorted`](crate::rank::BestSet::by_gossip_sorted)).
+    pub fn smooth(srtt: f64, rtt_ms: f64) -> f64 {
+        (1.0 - Self::ALPHA) * srtt + Self::ALPHA * rtt_ms
+    }
 
     /// Creates an empty monitor.
     pub fn new() -> Self {
@@ -114,29 +119,13 @@ impl RuntimeMonitor {
         assert!(rtt_ms.is_finite() && rtt_ms >= 0.0, "bad RTT {rtt_ms}");
         self.srtt_ms
             .entry(peer)
-            .and_modify(|srtt| *srtt = (1.0 - Self::ALPHA) * *srtt + Self::ALPHA * rtt_ms)
+            .and_modify(|srtt| *srtt = Self::smooth(*srtt, rtt_ms))
             .or_insert(rtt_ms);
     }
 
     /// Number of peers with at least one sample.
     pub fn sampled_peers(&self) -> usize {
         self.srtt_ms.len()
-    }
-
-    /// Mean smoothed one-way delay over all sampled peers, or `None` when
-    /// no peer has a sample yet.
-    ///
-    /// This is the node's *local centrality estimate*: what it contributes
-    /// to the decentralized gossip-sorted ranking
-    /// ([`BestSet::by_gossip_sorted`](crate::rank::BestSet::by_gossip_sorted))
-    /// — the mean distance to the peers its shuffled views have exposed,
-    /// measured from its own RTT observations.
-    pub fn mean_one_way_ms(&self) -> Option<f64> {
-        if self.srtt_ms.is_empty() {
-            return None;
-        }
-        let total: f64 = self.srtt_ms.values().sum();
-        Some(total / (2.0 * self.srtt_ms.len() as f64))
     }
 }
 
@@ -278,13 +267,16 @@ mod tests {
     }
 
     #[test]
-    fn mean_one_way_averages_sampled_peers() {
+    fn record_rtt_applies_the_shared_smoothing_step() {
         let mut m = RuntimeMonitor::new();
-        assert_eq!(m.mean_one_way_ms(), None, "no samples yet");
-        m.record_rtt(NodeId(1), 100.0); // one-way 50
-        m.record_rtt(NodeId(2), 20.0); // one-way 10
-        let mean = m.mean_one_way_ms().expect("two samples");
-        assert!((mean - 30.0).abs() < 1e-9, "mean one-way {mean}");
+        let mut srtt = 100.0;
+        m.record_rtt(NodeId(1), srtt);
+        for rtt in [60.0, 90.0, 60.0, 13.5] {
+            m.record_rtt(NodeId(1), rtt);
+            srtt = RuntimeMonitor::smooth(srtt, rtt);
+        }
+        assert_eq!(m.metric(NodeId(0), NodeId(1)), srtt / 2.0);
+        assert_eq!(RuntimeMonitor::smooth(80.0, 0.0), 70.0);
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //! * [`RankSource::GossipSorted`] — [`BestSet::by_gossip_sorted`]: the
 //!   decentralized ranking the paper actually describes. Each node runs
 //!   the protocol's own machinery — a bootstrapped [`PartialView`]
-//!   shuffled with the Cyclon-style exchange, and a [`RuntimeMonitor`]
-//!   EWMA fed by ping RTT observations of the peers those views expose —
+//!   shuffled with the Cyclon-style exchange, and the [`RuntimeMonitor`]
+//!   EWMA over ping RTT observations of the peers those views expose —
 //!   and contributes its local mean-RTT score; the rank is the fixed
 //!   point of the gossip sort over those local scores. O(n · view ·
-//!   rounds), no global sweep.
+//!   rounds) time and a 4-byte observation log of the same size, no
+//!   global sweep.
 //!
 //! The decentralized sources are deterministic given their seed and are
 //! pinned by regression tests; the oracle stays byte-identical to the
@@ -385,14 +386,12 @@ impl BestSet {
     /// of an offline model sweep.
     ///
     /// Every node starts from a bootstrapped [`PartialView`] (the same
-    /// overlay state a run begins with) and hosts a [`RuntimeMonitor`].
-    /// Each of the `rounds` cycles then does what the running protocol's
-    /// monitor/scheduler layer does over time:
+    /// overlay state a run begins with). Each of the `rounds` cycles then
+    /// does what the running protocol's monitor/scheduler layer does over
+    /// time:
     ///
-    /// 1. **measure** — the node pings every peer currently in its view;
-    ///    the observed RTT (`latency(i→p) + latency(p→i)`, exactly what a
-    ///    ping/pong pair would traverse on the simulated network) feeds
-    ///    the monitor's EWMA;
+    /// 1. **measure** — the node pings every peer currently in its view
+    ///    and logs the peer's id;
     /// 2. **shuffle** — the overlay performs
     ///    [`SHUFFLES_PER_ROUND`](Self::SHUFFLES_PER_ROUND) Cyclon
     ///    exchange ticks ([`PartialView::start_shuffle`]) before the next
@@ -402,11 +401,20 @@ impl BestSet {
     ///    overlay of §5.2.
     ///
     /// A node's score is its mean smoothed one-way delay over every peer
-    /// it observed ([`RuntimeMonitor::mean_one_way_ms`]); the global rank
-    /// is assembled from those purely local scores. Cost is
-    /// O(n · view · rounds) — at 10 000 nodes with the default view of 15
-    /// and 6 rounds that is ~10⁶ latency lookups, versus 10⁸ for the
-    /// O(n²) oracle sweep.
+    /// it observed, summed in ascending peer id: each ping's RTT
+    /// (`latency(i→p) + latency(p→i)`, exactly what a ping/pong pair
+    /// would traverse on the simulated network) feeds the
+    /// [`RuntimeMonitor`] EWMA ([`RuntimeMonitor::smooth`]). The model's
+    /// RTT is static, so the log is folded once at the end — one RTT
+    /// lookup per distinct peer — into the SRTT a per-node monitor would
+    /// hold. The global rank is assembled from those purely local scores.
+    ///
+    /// Cost is O(n · view · rounds) time, and state is an
+    /// n × rounds × `view.capacity` log of 4-byte peer ids (48 MB at
+    /// 100 000 nodes, 8 rounds, view 15) plus the views. At 10 000 nodes
+    /// with the default view of 15 and 8 rounds that is ~10⁶ logged pings
+    /// and at most as many latency lookups, versus 10⁸ for the O(n²)
+    /// oracle sweep.
     ///
     /// Determinism: the result is a pure function of `(model, fraction,
     /// view, rounds, rng seed)`; a regression test pins it.
@@ -455,8 +463,15 @@ impl BestSet {
         let n = model.client_count();
         assert!(n >= 2, "need at least two clients to rank");
         assert_eq!(down.len(), n, "one down flag per client");
+        assert!(u32::try_from(n).is_ok(), "peer ids must fit the u32 log");
         let mut views: Vec<PartialView> = bootstrap_views(n, view, rng);
-        let mut monitors: Vec<RuntimeMonitor> = vec![RuntimeMonitor::new(); n];
+        // The observation log: node `i` owns `slots` entries from
+        // `i * slots`, of which the first `logged[i]` hold the ids of the
+        // peers it pinged, one entry per ping. A view never exceeds its
+        // capacity, so a node logs at most `capacity` pings per round.
+        let slots = rounds * view.capacity;
+        let mut observed: Vec<u32> = vec![0; n * slots];
+        let mut logged: Vec<usize> = vec![0; n];
         for round in 0..rounds {
             // Measure: ping every *live* peer the current view exposes
             // (a down peer never pongs, so no RTT sample lands).
@@ -468,8 +483,8 @@ impl BestSet {
                     if down[p.index()] {
                         continue;
                     }
-                    let rtt = model.latency_ms(i, p.index()) + model.latency_ms(p.index(), i);
-                    monitors[i].record_rtt(p, rtt);
+                    observed[i * slots + logged[i]] = p.index() as u32;
+                    logged[i] += 1;
                 }
             }
             // Shuffle: several Cyclon exchange ticks per node, in node
@@ -499,9 +514,11 @@ impl BestSet {
                 }
             }
         }
-        let scores: Vec<f64> = monitors
-            .iter()
-            .map(|m| m.mean_one_way_ms().unwrap_or(f64::MAX))
+        let scores: Vec<f64> = (0..n)
+            .map(|i| {
+                let start = i * slots;
+                gossip_score(model, i, &mut observed[start..start + logged[i]])
+            })
             .collect();
         BestSet::from_scores_excluding(&scores, fraction, down)
     }
@@ -564,6 +581,37 @@ impl BestSet {
     /// Wraps the set for cheap sharing across nodes.
     pub fn shared(self) -> Arc<BestSet> {
         Arc::new(self)
+    }
+}
+
+/// Node `i`'s gossip-sorted score from the peer ids it pinged (one entry
+/// per ping, any order; sorted in place): its mean smoothed one-way
+/// delay over the distinct peers, or `f64::MAX` if it pinged none.
+///
+/// The model's RTT is static, so `c` pings of a peer leave exactly the
+/// SRTT a [`RuntimeMonitor`] would hold after `c` samples: the first
+/// sample, smoothed `c - 1` times. SRTTs are summed in ascending peer id.
+fn gossip_score(model: &RoutedModel, i: usize, pinged: &mut [u32]) -> f64 {
+    pinged.sort_unstable();
+    let mut total = 0.0;
+    let mut peers = 0usize;
+    let mut rest: &[u32] = pinged;
+    while let Some(&p) = rest.first() {
+        let pings = rest.iter().take_while(|&&q| q == p).count();
+        rest = &rest[pings..];
+        let p = p as usize;
+        let rtt = model.latency_ms(i, p) + model.latency_ms(p, i);
+        let mut srtt = rtt;
+        for _ in 1..pings {
+            srtt = RuntimeMonitor::smooth(srtt, rtt);
+        }
+        total += srtt;
+        peers += 1;
+    }
+    if peers == 0 {
+        f64::MAX
+    } else {
+        total / (2.0 * peers as f64)
     }
 }
 

@@ -103,13 +103,22 @@ pub mod hash {
 /// These are free functions rather than methods on `Rng` where they would
 /// otherwise force generic parameters onto every call site.
 pub mod sample {
+    use super::hash::FastHashSet;
     use super::Rng;
+
+    /// Largest `k` whose Floyd membership test scans the output itself:
+    /// O(k²) compares, but allocation-free, which is what the small-k hot
+    /// paths (view shuffles, gossip targets, k ≤ 15) want. Larger draws
+    /// test membership in a hash set, O(1) per draw.
+    pub(crate) const LINEAR_SCAN_MAX_K: usize = 32;
 
     /// Returns `k` distinct indices drawn uniformly from `0..n`.
     ///
-    /// Uses Floyd's algorithm, which performs `k` insertions regardless of
-    /// `n`. The result is in insertion order (not sorted, not uniform over
-    /// permutations — uniform over *sets*).
+    /// Uses Floyd's algorithm (Bentley & Floyd, "A sample of brilliance",
+    /// CACM 1987), which performs `k` insertions regardless of `n`, each
+    /// with an O(1) membership test once `k` is large. The result is in
+    /// insertion order (not sorted, not uniform over permutations —
+    /// uniform over *sets*).
     ///
     /// # Panics
     ///
@@ -125,7 +134,8 @@ pub mod sample {
     /// Draws exactly the same index sequence as `distinct_indices` for
     /// the same RNG state, but lets hot paths (gossip target sampling,
     /// shuffle subsets) reuse one scratch vector instead of allocating
-    /// per call.
+    /// per call. Only draws of more than `LINEAR_SCAN_MAX_K` (32) indices
+    /// allocate, for their membership set.
     ///
     /// # Panics
     ///
@@ -133,13 +143,26 @@ pub mod sample {
     pub fn distinct_indices_into(rng: &mut Rng, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} distinct indices from 0..{n}");
         out.clear();
+        if k <= LINEAR_SCAN_MAX_K {
+            for j in (n - k)..n {
+                let t = rng.range_usize(0, j + 1);
+                out.push(if out.contains(&t) { j } else { t });
+            }
+            return;
+        }
+        out.reserve(k);
+        let mut chosen: FastHashSet<usize> =
+            FastHashSet::with_capacity_and_hasher(k, Default::default());
         for j in (n - k)..n {
             let t = rng.range_usize(0, j + 1);
-            if out.contains(&t) {
-                out.push(j);
+            // `j` exceeds every earlier pick, so it is never in the set.
+            let pick = if chosen.insert(t) {
+                t
             } else {
-                out.push(t);
-            }
+                chosen.insert(j);
+                j
+            };
+            out.push(pick);
         }
     }
 
@@ -219,6 +242,69 @@ mod tests {
         let picks = distinct_indices(&mut rng, 12, 12);
         let set: HashSet<_> = picks.into_iter().collect();
         assert_eq!(set.len(), 12);
+    }
+
+    /// Floyd's algorithm with the membership test as a scan of the output
+    /// — the original O(k²) formulation, kept as the reference the O(1)
+    /// membership test must reproduce draw for draw.
+    fn floyd_by_scan(rng: &mut Rng, n: usize, k: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::with_capacity(k);
+        for j in (n - k)..n {
+            let t = rng.range_usize(0, j + 1);
+            if out.contains(&t) {
+                out.push(j);
+            } else {
+                out.push(t);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn distinct_indices_match_the_scanning_reference() {
+        use super::sample::{distinct_indices_into, LINEAR_SCAN_MAX_K};
+        let switch = LINEAR_SCAN_MAX_K;
+        let mut scratch = Vec::new();
+        for n in [1usize, 15, 280, 100_100] {
+            for k in [0, 1, 5, 15, switch - 1, switch, switch + 1, n] {
+                if k > n {
+                    continue;
+                }
+                // One seed at 100 100: the reference's own scan is the
+                // slow part there.
+                let seeds: &[u64] = if n > 1_000 { &[42] } else { &[1, 42, 1009] };
+                for &seed in seeds {
+                    let mut reference = Rng::seed_from_u64(seed);
+                    let expected = floyd_by_scan(&mut reference, n, k);
+                    let mut rng = Rng::seed_from_u64(seed);
+                    assert_eq!(distinct_indices(&mut rng, n, k), expected, "n={n} k={k}");
+                    // Same draws, so the streams stay in step afterwards.
+                    assert_eq!(rng.next_u64(), reference.next_u64());
+                    // The buffer-reusing form agrees, whatever it held.
+                    distinct_indices_into(&mut Rng::seed_from_u64(seed), n, k, &mut scratch);
+                    assert_eq!(scratch, expected, "n={n} k={k} into");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_indices_stay_linear_at_scale() {
+        // A million of 1 000 100, the shape of the 1M preset's client
+        // placement: the output scan made ~5·10¹¹ compares here.
+        let (n, k) = (1_000_100, 1_000_000);
+        let start = std::time::Instant::now();
+        let picks = distinct_indices(&mut Rng::seed_from_u64(3), n, k);
+        let elapsed = start.elapsed();
+        assert_eq!(picks.len(), k);
+        let mut seen = vec![false; n];
+        for &i in &picks {
+            assert!(!std::mem::replace(&mut seen[i], true), "duplicate {i}");
+        }
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "sampling took {elapsed:?}"
+        );
     }
 }
 

@@ -92,3 +92,32 @@ fn ten_k_ranked_run_completes_under_run_sweep() {
     );
     assert_eq!(outcome.scheduler.resolved_timer_pops, 0);
 }
+
+/// The 1M preset's set-up end to end — transit–stub model, gossip-sorted
+/// ranking, view bootstrap — which is where a super-linear set-up term
+/// would show first. Ignored by default (release build on a 2-core VM:
+/// ~30 s and ~1 GB peak RSS); run with
+/// `cargo test --release -p egm_workload --test scale_smoke -- --ignored`.
+#[test]
+#[ignore = "1M nodes: ~30 s and ~1 GB in a release build; run explicitly"]
+fn one_m_setup_completes() {
+    use egm_workload::runner::prepare;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    let scenario = ScalePreset::N1M.scenario(1, 42);
+    let start = Instant::now();
+    let model = Arc::new(scenario.build_model());
+    let build = start.elapsed();
+    assert_eq!(model.client_count(), 1_000_000);
+    // Client placement draws 10⁶ of ~10⁶ stub routers; a quadratic
+    // membership test there took ~126 s, the linear one ~1.3 s (2-core
+    // VM).
+    assert!(
+        build < Duration::from_secs(10),
+        "building the 1M model took {build:?}"
+    );
+    let setup = prepare(&scenario, Some(model));
+    let best = setup.best().expect("the presets rank hubs");
+    assert_eq!(best.best_count(), 200_000);
+}
